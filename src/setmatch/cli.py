@@ -4,7 +4,8 @@ Subcommands: ``compile`` a pattern file to an automaton, ``match`` a subject
 term against a compiled automaton, ``export-dot`` for Graphviz output,
 ``bench`` for size/speed tables, and ``gen`` for reproducible random
 instances.  Exit codes: 0 on success, 1 when a requested verification
-fails, 2 on usage or input errors.
+fails, 2 on usage or input errors, with a one-line ``error:`` message and
+no traceback for any error of this package.
 """
 
 import argparse
@@ -15,10 +16,9 @@ from pathlib import Path
 
 from .automaton import LEFTMOST, RIGHTMOST, build, transition_count
 from .dot import to_dot
-from .errors import (FormatError, ParseError, PatternSetError, SetMatchError,
-                     SignatureError, SubjectError)
-from .evaluate import (BreadthFirst, DepthFirst, Parallel, count_inspections,
-                       evaluate)
+from .errors import ParseError, PatternSetError, SetMatchError, SignatureError
+from .evaluate import (MAX_WORKERS, BreadthFirst, DepthFirst, Parallel,
+                       count_inspections, evaluate)
 from .oracle import (brute_force_matches, comb_pattern_set, random_instance)
 from .positions import format_position
 from .serialization import from_json, to_json
@@ -31,13 +31,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, SignatureError, PatternSetError, FormatError,
-            SubjectError) as e:
+    except (SetMatchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+
+
+def _workers(text: str) -> int:
+    """The ``--workers`` value: an integer from 1 to MAX_WORKERS."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if not 1 <= n <= MAX_WORKERS:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer from 1 to {MAX_WORKERS}, got {text!r}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,8 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--term", required=True, help="subject term file, or - for stdin")
     p.add_argument("--strategy", choices=["depth-first", "breadth-first", "parallel"],
                    default="depth-first")
-    p.add_argument("--workers", type=int, default=4,
-                   help="worker threads for --strategy parallel (default: 4)")
+    p.add_argument("--workers", type=_workers, default=4,
+                   help=f"worker threads for --strategy parallel, 1 to {MAX_WORKERS} "
+                        "(default: 4)")
     p.add_argument("--stats", action="store_true",
                    help="also print inspection and work item counts")
     p.add_argument("--verify", action="store_true",

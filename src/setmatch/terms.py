@@ -201,45 +201,56 @@ def parse_term(text: str, sig: Signature, *, allow_wildcard: bool = False,
     With ``extend`` unknown symbols are declared at the arity they are used,
     otherwise they are rejected.  Wildcards (``_``) are only accepted with
     ``allow_wildcard``.  Known symbols must be used at their declared arity.
+    The parser keeps its open argument lists on a stack, so nesting depth
+    is limited by memory only.
     """
-    pos = _WS_RE.match(text, 0).end()
-    term, pos = _parse_node(text, pos, sig, allow_wildcard, extend)
-    pos = _WS_RE.match(text, pos).end()
-    if pos != len(text):
-        raise ParseError("trailing input after term", pos)
-    return term
-
-
-def _parse_node(text, pos, sig, allow_wildcard, extend):
-    if pos >= len(text):
-        raise ParseError("expected a term", pos)
-    m = _IDENT_RE.match(text, pos)
-    if not m:
-        raise ParseError(f"unexpected character {text[pos]!r}", pos)
-    name = m.group()
-    start = pos
-    if name == "_":
-        if not allow_wildcard:
-            raise ParseError("wildcard not allowed here", pos)
-        return WILDCARD, m.end()
-    pos = _WS_RE.match(text, m.end()).end()
-    children = []
-    if pos < len(text) and text[pos] == "(":
-        pos = _WS_RE.match(text, pos + 1).end()
-        while True:
-            child, pos = _parse_node(text, pos, sig, allow_wildcard, extend)
-            children.append(child)
-            pos = _WS_RE.match(text, pos).end()
-            if pos >= len(text):
-                raise ParseError("expected ',' or ')'", pos)
-            ch = text[pos]
+    skip = _WS_RE.match
+    ident = _IDENT_RE.match
+    end = len(text)
+    open_nodes = []  # (name, offset, children) of every unclosed argument list
+    pos = skip(text, 0).end()
+    while True:
+        if pos >= end:
+            raise ParseError("expected a term", pos)
+        m = ident(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        name = m.group()
+        if name == "_":
+            if not allow_wildcard:
+                raise ParseError("wildcard not allowed here", pos)
+            term = WILDCARD
+            pos = m.end()
+        else:
+            start = pos
+            pos = skip(text, m.end()).end()
+            if pos < end and text[pos] == "(":
+                open_nodes.append((name, start, []))
+                pos = skip(text, pos + 1).end()
+                continue
+            term = _node(sig, name, start, (), extend)
+        while open_nodes:
+            name, start, children = open_nodes[-1]
+            children.append(term)
+            pos = skip(text, pos).end()
+            ch = text[pos] if pos < end else None
             if ch == ",":
-                pos = _WS_RE.match(text, pos + 1).end()
-            elif ch == ")":
-                pos += 1
+                pos = skip(text, pos + 1).end()
                 break
-            else:
+            if ch != ")":
                 raise ParseError("expected ',' or ')'", pos)
+            pos += 1
+            open_nodes.pop()
+            term = _node(sig, name, start, children, extend)
+        else:  # every argument list is closed: ``term`` is the whole input
+            pos = skip(text, pos).end()
+            if pos != end:
+                raise ParseError("trailing input after term", pos)
+            return term
+
+
+def _node(sig, name, start, children, extend) -> Term:
+    """The term ``name(children)``; ``start`` is the offset of ``name``."""
     arity = len(children)
     sym = sig.get(name)
     if sym is None:
@@ -249,7 +260,7 @@ def _parse_node(text, pos, sig, allow_wildcard, extend):
     elif sym.arity != arity:
         raise ParseError(
             f"'{name}' has arity {sym.arity}, used with {arity}", start)
-    return Term(sym, children), pos
+    return Term(sym, children)
 
 
 def domain(t: Term) -> set[Position]:

@@ -312,8 +312,7 @@ def test_criterion_10_linear_scaling_on_balanced_subjects():
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
-            report = evaluate(auto, subject, DepthFirst(),
-                              carry_subterms=True)
+            report = evaluate(auto, subject, DepthFirst())
             best = min(best, time.perf_counter() - t0)
         assert report.node_count == size
         assert report.matches == frozenset()

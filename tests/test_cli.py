@@ -173,6 +173,59 @@ def test_match_rejects_malformed_term(compiled, tmp_path, capsys):
     assert rc == 2
 
 
+def test_match_deep_term_from_file(compiled, tmp_path, capsys):
+    # 3,000 nested f's: deeper than the interpreter's recursion limit
+    auto = compiled("fa", "f(_, a)\n")
+    capsys.readouterr()
+    depth = 3000
+    term = _write_term(tmp_path, "f(" * depth + "a" + ",a)" * depth)
+    rc = main(["match", "--automaton", str(auto), "--term", str(term)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ""
+    assert len(captured.out.splitlines()) == depth
+
+
+def test_match_very_deep_unary_chain(compiled, tmp_path, capsys):
+    auto = compiled("ga", "g(a)\n")
+    capsys.readouterr()
+    depth = 10 ** 5
+    term = _write_term(tmp_path, "g(" * depth + "a" + ")" * depth)
+    rc = main(["match", "--automaton", str(auto), "--term", str(term), "--json"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ""
+    assert json.loads(captured.out) == [{"pattern": 0, "pos": [1] * (depth - 1)}]
+
+
+def test_match_reports_a_broken_automaton_in_one_line(compiled, tmp_path,
+                                                       capsys):
+    # a hand-edited label that walks off every subject is an InvariantError
+    auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
+    doc = json.loads(auto.read_text())
+    for state in doc["states"]:
+        state["label"] = [9]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    term = _write_term(tmp_path, "f(a, a)")
+    capsys.readouterr()
+    rc = main(["match", "--automaton", str(bad), "--term", str(term)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "disagree" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "65", "1000000000", "many"])
+def test_match_rejects_absurd_worker_counts(compiled, tmp_path, workers):
+    auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
+    term = _write_term(tmp_path, "f(a, a)")
+    with pytest.raises(SystemExit) as e:
+        main(["match", "--automaton", str(auto), "--term", str(term),
+              "--strategy", "parallel", "--workers", workers])
+    assert e.value.code == 2
+
+
 def test_export_dot_round_trips(compiled, tmp_path, capsys):
     auto = compiled("nested", NESTED, signature="f/2\ng/1\na/0\n")
     out1 = tmp_path / "g1.dot"

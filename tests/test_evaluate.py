@@ -1,12 +1,18 @@
 """Evaluator: strategies, instrumentation, the work-item tree."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 
 from setmatch import (BreadthFirst, DepthFirst, InvariantError, Parallel,
                       PatternSet, Signature, SubjectError, Term, build,
-                      count_inspections, domain, evaluate, evaluation_tree,
-                      matches, parse_term, subterm_at, tree_nodes)
+                      brute_force_matches, count_inspections, domain, evaluate,
+                      evaluation_tree, matches, parse_term, subterm_at,
+                      tree_nodes)
+from setmatch.automaton import Transition
+from setmatch.evaluate import MAX_WORKERS
 
 from conftest import subject_terms
 
@@ -48,17 +54,15 @@ def test_count_inspections_requires_instrumentation(nested_automaton,
 
 @settings(max_examples=60, deadline=None)
 @given(subject_terms(max_depth=5))
-def test_strategies_and_walk_modes_agree(nested_automaton, subject):
-    reports = [evaluate(nested_automaton, subject, s, instrument=True)
-               for s in ALL_STRATEGIES]
-    reports += [evaluate(nested_automaton, subject, s, instrument=True,
-                         carry_subterms=True)
-                for s in (DepthFirst(), Parallel(2))]
-    first = reports[0]
-    for r in reports[1:]:
-        assert r.matches == first.matches
-        assert r.node_count == first.node_count
-        assert sorted(r.inspected) == sorted(first.inspected)
+def test_strategies_agree_with_brute_force(nested_pattern_set,
+                                           nested_automaton, subject):
+    expected = brute_force_matches(nested_pattern_set, subject)
+    positions = sorted(domain(subject))
+    for s in ALL_STRATEGIES:
+        report = evaluate(nested_automaton, subject, s, instrument=True)
+        assert report.matches == expected
+        assert report.node_count == len(positions)
+        assert sorted(report.inspected) == positions
 
 
 @settings(max_examples=60, deadline=None)
@@ -83,6 +87,15 @@ def test_emitted_matches_are_sound(nested_pattern_set, nested_automaton,
 def test_parallel_needs_a_worker(nested_automaton, nested_subject):
     with pytest.raises(ValueError):
         evaluate(nested_automaton, nested_subject, Parallel(0))
+
+
+def test_parallel_worker_cap_starts_no_thread():
+    before = threading.active_count()
+    for workers in (10 ** 9, MAX_WORKERS + 1, -1):
+        with pytest.raises(ValueError):
+            Parallel(workers)
+    assert threading.active_count() == before
+    assert Parallel(MAX_WORKERS).workers == MAX_WORKERS
 
 
 def test_unknown_strategy_object(nested_automaton, nested_subject):
@@ -117,8 +130,66 @@ def test_wildcard_subject_is_rejected(nested_automaton, sig_fga):
 def test_label_outside_subject_fails_loudly():
     a = build(PatternSet.from_text("a\n"))
     a.states[0].label = (3,)
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="no subject node at 3;"):
         evaluate(a, parse_term("a", a.signature))
+
+
+def test_shift_outside_subject_fails_loudly(assoc_pattern_set, assoc_subject):
+    # every target of the initial state is sent one level below a leaf
+    a = build(assoc_pattern_set)
+    delta = a.states[a.initial].delta
+    tr = delta["f"]
+    assert tr.targets
+    delta["f"] = Transition(tr.outputs, tuple((tid, (2, 1)) for tid, _ in tr.targets))
+    for strategy in ALL_STRATEGIES:
+        with pytest.raises(InvariantError, match=r"no subject node at 2\.1;"):
+            evaluate(a, assoc_subject, strategy)
+
+
+def test_duplicate_announcement_raises(assoc_pattern_set, assoc_subject):
+    # a hand-edited automaton that announces every match twice
+    a = build(assoc_pattern_set)
+    for state in a.states:
+        for name, tr in state.delta.items():
+            state.delta[name] = Transition(tr.outputs * 2, tr.targets)
+    for strategy in ALL_STRATEGIES:
+        with pytest.raises(InvariantError, match="twice"):
+            evaluate(a, assoc_subject, strategy)
+
+
+def test_parallel_under_fast_thread_switching(assoc_automaton,
+                                             assoc_signature):
+    # more threads than cores, switching every microsecond: the threads
+    # share the pointer cells of the dealt frontier and fill in their
+    # positions, so a lost or torn update would change the match set
+    f = assoc_signature.symbol("f")
+    t = parse_term("a", assoc_signature)
+    for _ in range(8):
+        t = Term(f, (t, t))
+    expected = brute_force_matches(assoc_automaton.patterns, t)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            report = evaluate(assoc_automaton, t, Parallel(8))
+            assert report.matches == expected
+            assert report.node_count == 2 ** 9 - 1
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.name.startswith("setmatch-eval")
+                   for th in threading.enumerate())
+
+
+def test_failure_inside_a_worker_is_reraised(nested_automaton, sig_fga):
+    # the foreign leaf sits far below the frontier dealt to the threads
+    f, g = sig_fga.symbol("f"), sig_fga.symbol("g")
+    zzz = Signature().declare("zzz", 0)
+    t = Term(zzz)
+    for _ in range(30):
+        t = Term(f, (Term(g, (parse_term("a", sig_fga),)), t))
+    for strategy in (Parallel(2), Parallel(4)):
+        with pytest.raises(SubjectError):
+            evaluate(nested_automaton, t, strategy)
 
 
 def _phi(a, node):
@@ -132,6 +203,17 @@ def test_tree_nodes_biject_with_positions(nested_automaton, nested_subject):
     images = [_phi(nested_automaton, n) for n in nodes]
     assert len(set(images)) == len(images)
     assert set(images) == domain(nested_subject)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subject_terms(max_depth=5))
+def test_tree_edges_follow_transitions(nested_automaton, subject):
+    # every node's children are its transition's targets, in target order
+    for node in tree_nodes(evaluation_tree(nested_automaton, subject)):
+        symbol = subterm_at(subject, _phi(nested_automaton, node)).symbol
+        tr = nested_automaton.states[node.state].delta[symbol.name]
+        assert [(c.state, c.pointer) for c in node.children] \
+            == [(tid, node.pointer + shift) for tid, shift in tr.targets]
 
 
 def test_tree_of_single_constant():
@@ -158,20 +240,49 @@ def test_subtree_images_are_disjoint(nested_automaton, subject):
         stack.extend(node.children)
 
 
-def test_deep_left_spine_from_root_walking(assoc_automaton, assoc_signature):
-    # a 401-node left comb exercises long pointer walks in both modes
-    t = parse_term("a", assoc_signature)
-    f = assoc_signature.symbol("f")
-    a_leaf = t
-    for _ in range(200):
-        t = Term(f, (t, a_leaf))
-    plain = evaluate(assoc_automaton, t)
-    carried = evaluate(assoc_automaton, t, carry_subterms=True)
-    assert plain.matches == carried.matches
-    assert plain.node_count == carried.node_count == 401
+def _left_comb(sig, depth):
+    """f(f(...f(a, a)..., a), a) with ``depth`` f nodes, built bottom-up."""
+    f = sig.symbol("f")
+    leaf = parse_term("a", sig)
+    t = leaf
+    for _ in range(depth):
+        t = Term(f, (t, leaf))
+    return t
+
+
+def test_deep_left_spine_matches_brute_force(assoc_automaton, assoc_signature):
+    # a 401-node left comb: long pointer chains under every strategy
+    t = _left_comb(assoc_signature, 200)
+    expected = brute_force_matches(assoc_automaton.patterns, t)
     # only the left-rotation shape occurs on a left comb: f(f(_,_),_)
     # matches at every spine node except the deepest two
-    assert len(plain.matches) == 199
-    for pid, pos in plain.matches:
-        assert matches(assoc_automaton.patterns[pid],
-                       subterm_at(t, pos), ())
+    assert len(expected) == 199
+    for pid, pos in expected:
+        assert matches(assoc_automaton.patterns[pid], subterm_at(t, pos), ())
+    for strategy in ALL_STRATEGIES:
+        report = evaluate(assoc_automaton, t, strategy)
+        assert report.matches == expected
+        assert report.node_count == 401
+
+
+def test_instrumented_deep_comb_inspects_every_position_once(
+        assoc_automaton, assoc_signature):
+    t = _left_comb(assoc_signature, 2000)
+    report = evaluate(assoc_automaton, t, instrument=True)
+    assert sorted(report.inspected) == sorted(domain(t))
+    assert report.node_count == 4001
+
+
+def test_deep_unary_chain_is_one_pass():
+    # 10^5 g's above one a: the work set holds one item at a time, and the
+    # single g(a) match needs the only long position tuple of the run
+    a = build(PatternSet.from_text("g(a)\n"))
+    g = a.signature.symbol("g")
+    depth = 10 ** 5
+    t = parse_term("a", a.signature)
+    for _ in range(depth):
+        t = Term(g, (t,))
+    for strategy in (DepthFirst(), BreadthFirst(), Parallel(2)):
+        report = evaluate(a, t, strategy)
+        assert report.node_count == depth + 1
+        assert report.matches == {(0, (1,) * (depth - 1))}

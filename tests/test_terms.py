@@ -108,6 +108,15 @@ def test_parse_error_offsets(sig_fga):
         assert e.value.offset == offset, text
 
 
+def test_parse_deep_nesting_without_recursion(sig_fga):
+    depth = 10 ** 5
+    t = parse_term("g(" * depth + "a" + ")" * depth, sig_fga)
+    for _ in range(depth):
+        assert t.symbol.name == "g"
+        (t,) = t.children
+    assert t.symbol.name == "a" and t.children == ()
+
+
 def test_parse_extends_signature_when_asked():
     sig = Signature()
     t = parse_term("f(g(a),b)", sig, extend=True)
