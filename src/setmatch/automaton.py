@@ -151,8 +151,7 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
         state = states[sid]
         for symbol in sig:
             deriv, completed = _step(state, symbol, ps)
-            outs = outputs(state, symbol)
-            assert tuple(sorted(completed)) == outs, "output formulations disagree"
+            outs = tuple(sorted(completed))
             entries = []
             for klass in dependency_partition(deriv):
                 lifted, shift = lift_class(klass)

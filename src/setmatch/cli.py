@@ -17,8 +17,7 @@ from pathlib import Path
 from .automaton import LEFTMOST, RIGHTMOST, build, transition_count
 from .dot import to_dot
 from .errors import ParseError, PatternSetError, SetMatchError, SignatureError
-from .evaluate import (MAX_WORKERS, BreadthFirst, DepthFirst, Parallel,
-                       count_inspections, evaluate)
+from .evaluate import MAX_WORKERS, BreadthFirst, DepthFirst, Parallel, evaluate
 from .oracle import (brute_force_matches, comb_pattern_set, random_instance)
 from .positions import format_position
 from .serialization import from_json, to_json
@@ -148,7 +147,7 @@ def _cmd_match(args) -> int:
         strategy = BreadthFirst()
     else:
         strategy = DepthFirst()
-    report = evaluate(a, subject, strategy, instrument=args.stats)
+    report = evaluate(a, subject, strategy)
     texts = a.patterns.texts()
     if args.as_json:
         doc = [{"pattern": pid, "pos": list(pos)}
@@ -159,7 +158,8 @@ def _cmd_match(args) -> int:
                            for pid, pos in report.matches):
             print(line)
     if args.stats:
-        print(f"inspections: {count_inspections(report)}")
+        # one pass: every work item inspects one subject node, once
+        print(f"inspections: {report.node_count}")
         print(f"work items: {report.node_count}")
     if args.verify:
         expected = brute_force_matches(a.patterns, subject)

@@ -1,29 +1,43 @@
-"""JSON form of a compiled automaton (schema version 1).
+"""JSON form of a compiled automaton (schema version 2).
 
 The document is self-contained: signature, pattern texts, and per-state
 labels and transitions.  Goal sets are included by default so a reloaded
 automaton can be re-verified, but they are optional debug payload; an
-automaton without them still evaluates.  Serialization is deterministic, and
+automaton without them still evaluates.
+
+A state's goals are stored without what can be derived: ``"fresh"`` lists
+the positions where the state holds the fresh goal of every pattern, and
+``"goals"`` lists every other goal in canonical order.  A partial fresh
+family is written out goal by goal, so the split is lossless for any state
+and a reloaded state's goals equal the built ones exactly.
+
+The text is compact JSON, deterministic, with a stable key order.
 ``from_json`` validates structure and cross-references with a JSON-path in
-every error message.
+every error message, parses each distinct term text once, and rejects
+documents of any other schema version, including version 1.
 """
 
 import json
 
 from .automaton import SetAutomaton, State, Transition
 from .errors import FormatError, ParseError, PatternSetError, SignatureError
-from .goals import Goal, canonical_goals
-from .terms import PatternSet, Signature, format_term, parse_term
+from .goals import Goal, canonical_goals, fresh_goal
+from .terms import PatternSet, Signature, Term, format_term, parse_term
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
-def to_json(a: SetAutomaton, *, include_goals: bool = True, indent: int = 2) -> str:
+def to_json(a: SetAutomaton, *, include_goals: bool = True) -> str:
+    patterns = a.patterns.patterns
     states = []
     for sid, st in enumerate(a.states):
         entry = {"id": sid, "label": list(st.label)}
         if include_goals and st.goals is not None:
-            entry["goals"] = [_goal_doc(g) for g in st.goals]
+            fresh = _fresh_positions(st.goals, patterns)
+            family = set(fresh)
+            entry["fresh"] = [list(p) for p in fresh]
+            entry["goals"] = [_goal_doc(g) for g in st.goals
+                              if not (g.announce in family and _is_fresh(g, patterns))]
         entry["delta"] = {
             name: {
                 "outputs": [{"pattern": pid, "pos": list(pos)} for pid, pos in tr.outputs],
@@ -39,7 +53,24 @@ def to_json(a: SetAutomaton, *, include_goals: bool = True, indent: int = 2) -> 
         "initial": a.initial,
         "states": states,
     }
-    return json.dumps(doc, indent=indent) + "\n"
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def _is_fresh(g: Goal, patterns) -> bool:
+    """``g`` is ``fresh_goal(g.pattern, patterns[g.pattern], g.announce)``."""
+    if not g.is_fresh:
+        return False
+    ((term, _),) = g.obligation
+    return term == patterns[g.pattern]
+
+
+def _fresh_positions(goals, patterns) -> list:
+    """Sorted positions where ``goals`` hold the fresh goal of every pattern."""
+    pids: dict = {}
+    for g in goals:
+        if _is_fresh(g, patterns):
+            pids.setdefault(g.announce, set()).add(g.pattern)
+    return sorted(p for p, ids in pids.items() if len(ids) == len(patterns))
 
 
 def _goal_doc(g: Goal) -> dict:
@@ -58,8 +89,9 @@ def from_json(text: str) -> SetAutomaton:
 
     _need(isinstance(doc, dict), "$", "document must be an object")
     version = _field(doc, "version", "$")
-    _need(version == SCHEMA_VERSION, "$.version",
-          f"unsupported version {version!r}, expected {SCHEMA_VERSION}")
+    _need(_is_int(version) and version == SCHEMA_VERSION, "$.version",
+          f"unsupported version {version!r}, expected {SCHEMA_VERSION}; "
+          "recompile the automaton from its patterns")
 
     sig = Signature()
     raw_sig = _field(doc, "signature", "$")
@@ -71,7 +103,7 @@ def from_json(text: str) -> SetAutomaton:
         name = _field(entry, "name", path)
         arity = _field(entry, "arity", path)
         _need(isinstance(name, str), path + ".name", "must be a string")
-        _need(isinstance(arity, int) and not isinstance(arity, bool) and arity >= 0,
+        _need(_is_int(arity) and arity >= 0,
               path + ".arity", "must be a non-negative integer")
         try:
             sig.declare(name, arity)
@@ -81,14 +113,12 @@ def from_json(text: str) -> SetAutomaton:
     raw_pats = _field(doc, "patterns", "$")
     _need(isinstance(raw_pats, list) and raw_pats, "$.patterns",
           "must be a non-empty array")
+    parsed: dict[str, Term] = {}  # one Term per distinct text; terms are immutable
     terms = []
     for i, text_i in enumerate(raw_pats):
         path = f"$.patterns[{i}]"
         _need(isinstance(text_i, str), path, "must be a string")
-        try:
-            terms.append(parse_term(text_i, sig, allow_wildcard=True, extend=False))
-        except ParseError as e:
-            raise FormatError(f"unparseable pattern: {e}", path) from None
+        terms.append(_term(text_i, sig, parsed, "unparseable pattern", path))
     try:
         patterns = PatternSet(terms, sig)
     except PatternSetError as e:
@@ -100,7 +130,7 @@ def from_json(text: str) -> SetAutomaton:
     n_states = len(raw_states)
 
     initial = _field(doc, "initial", "$")
-    _need(isinstance(initial, int) and 0 <= initial < n_states, "$.initial",
+    _need(_is_int(initial) and 0 <= initial < n_states, "$.initial",
           f"must be a state id below {n_states}")
 
     sym_names = [s.name for s in sig]
@@ -108,16 +138,20 @@ def from_json(text: str) -> SetAutomaton:
     for i, entry in enumerate(raw_states):
         path = f"$.states[{i}]"
         _need(isinstance(entry, dict), path, "must be an object")
-        _need(_field(entry, "id", path) == i, path + ".id",
+        sid = _field(entry, "id", path)
+        _need(_is_int(sid) and sid == i, path + ".id",
               f"state ids must be dense and ascending (expected {i})")
         label = _position(_field(entry, "label", path), path + ".label")
 
         goals = None
-        if "goals" in entry:
-            goals = tuple(
-                _goal_from(doc_g, f"{path}.goals[{j}]", sig, len(terms))
-                for j, doc_g in enumerate(_list(entry["goals"], path + ".goals")))
-            goals = canonical_goals(goals)
+        if "goals" in entry or "fresh" in entry:
+            goals = [_goal_from(doc_g, f"{path}.goals[{j}]", sig, len(terms), parsed)
+                     for j, doc_g in enumerate(
+                         _list(_field(entry, "goals", path), path + ".goals"))]
+            for j, p in enumerate(_list(_field(entry, "fresh", path), path + ".fresh")):
+                at = _position(p, f"{path}.fresh[{j}]")
+                goals.extend(fresh_goal(pid, pat, at) for pid, pat in enumerate(terms))
+            goals = canonical_goals(set(goals))
 
         raw_delta = _field(entry, "delta", path)
         _need(isinstance(raw_delta, dict), path + ".delta", "must be an object")
@@ -136,7 +170,7 @@ def from_json(text: str) -> SetAutomaton:
                 opath = f"{dpath}.outputs[{j}]"
                 _need(isinstance(o, dict), opath, "must be an object")
                 pid = _field(o, "pattern", opath)
-                _need(isinstance(pid, int) and 0 <= pid < len(terms),
+                _need(_is_int(pid) and 0 <= pid < len(terms),
                       opath + ".pattern", "unknown pattern id")
                 outs.append((pid, _position(_field(o, "pos", opath), opath + ".pos")))
             tgts = []
@@ -144,7 +178,7 @@ def from_json(text: str) -> SetAutomaton:
                 tpath = f"{dpath}.targets[{j}]"
                 _need(isinstance(t, dict), tpath, "must be an object")
                 tid = _field(t, "state", tpath)
-                _need(isinstance(tid, int) and 0 <= tid < n_states,
+                _need(_is_int(tid) and 0 <= tid < n_states,
                       tpath + ".state", f"unknown state id {tid!r}")
                 tgts.append((tid, _position(_field(t, "shift", tpath), tpath + ".shift")))
             delta[name] = Transition(outputs=tuple(outs), targets=tuple(tgts))
@@ -154,7 +188,7 @@ def from_json(text: str) -> SetAutomaton:
                         initial=initial)
 
 
-def _goal_from(doc_g, path, sig, n_patterns) -> Goal:
+def _goal_from(doc_g, path, sig, n_patterns, parsed) -> Goal:
     _need(isinstance(doc_g, dict), path, "must be an object")
     raw_ob = _list(_field(doc_g, "obligation", path), path + ".obligation")
     _need(len(raw_ob) > 0, path + ".obligation", "must be non-empty")
@@ -164,18 +198,32 @@ def _goal_from(doc_g, path, sig, n_patterns) -> Goal:
         _need(isinstance(pair, dict), ppath, "must be an object")
         text = _field(pair, "term", ppath)
         _need(isinstance(text, str), ppath + ".term", "must be a string")
-        try:
-            term = parse_term(text, sig, allow_wildcard=True, extend=False)
-        except ParseError as e:
-            raise FormatError(f"unparseable term: {e}", ppath + ".term") from None
+        term = _term(text, sig, parsed, "unparseable term", ppath + ".term")
         pairs.append((term, _position(_field(pair, "pos", ppath), ppath + ".pos")))
     ann = _field(doc_g, "announce", path)
     _need(isinstance(ann, dict), path + ".announce", "must be an object")
     pid = _field(ann, "pattern", path + ".announce")
-    _need(isinstance(pid, int) and 0 <= pid < n_patterns,
+    _need(_is_int(pid) and 0 <= pid < n_patterns,
           path + ".announce.pattern", "unknown pattern id")
     pos = _position(_field(ann, "pos", path + ".announce"), path + ".announce.pos")
     return Goal(frozenset(pairs), pid, pos)
+
+
+def _term(text, sig, parsed, what, path) -> Term:
+    """``parse_term`` memoised on the text within one document."""
+    term = parsed.get(text)
+    if term is None:
+        try:
+            term = parse_term(text, sig, allow_wildcard=True, extend=False)
+        except ParseError as e:
+            raise FormatError(f"{what}: {e}", path) from None
+        parsed[text] = term
+    return term
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; ``bool`` is an ``int`` subclass and is not one."""
+    return type(value) is int
 
 
 def _need(cond, path, msg):
@@ -197,6 +245,5 @@ def _list(value, path):
 def _position(value, path) -> tuple:
     _need(isinstance(value, list), path, "must be an array of positive integers")
     for x in value:
-        _need(isinstance(x, int) and not isinstance(x, bool) and x >= 1, path,
-              "must be an array of positive integers")
+        _need(_is_int(x) and x >= 1, path, "must be an array of positive integers")
     return tuple(value)

@@ -135,6 +135,19 @@ def test_outputs_of_rotation_states(assoc_automaton, assoc_signature):
     assert got == {((0, ()),), ((1, ()),)}
 
 
+def test_transition_outputs_equal_outputs_of_the_state(nested_pattern_set,
+                                                       assoc_pattern_set):
+    # build takes a transition's outputs from the completions of its own
+    # step; outputs() is the independent formulation they must agree with
+    for ps in (nested_pattern_set, assoc_pattern_set):
+        for strategy in (LEFTMOST, RIGHTMOST):
+            a = build(ps, strategy)
+            for state in a.states:
+                for symbol in a.signature:
+                    assert state.delta[symbol.name].outputs \
+                        == outputs(state, symbol)
+
+
 def test_build_nested_pattern_matches_hand_derivation(sig_fga,
                                                       nested_pattern_set):
     a = build(nested_pattern_set, RIGHTMOST)

@@ -198,6 +198,21 @@ def test_match_very_deep_unary_chain(compiled, tmp_path, capsys):
     assert json.loads(captured.out) == [{"pattern": 0, "pos": [1] * (depth - 1)}]
 
 
+def test_match_stats_on_a_very_deep_unary_chain(compiled, tmp_path, capsys):
+    # counting needs no instrumented run, so memory stays linear in depth
+    auto = compiled("ga", "g(a)\n")
+    capsys.readouterr()
+    depth = 10 ** 5
+    term = _write_term(tmp_path, "g(" * depth + "a" + ")" * depth)
+    rc = main(["match", "--automaton", str(auto), "--term", str(term), "--stats"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert f"inspections: {depth + 1}" in lines
+    assert f"work items: {depth + 1}" in lines
+
+
 def test_match_reports_a_broken_automaton_in_one_line(compiled, tmp_path,
                                                        capsys):
     # a hand-edited label that walks off every subject is an InvariantError

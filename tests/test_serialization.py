@@ -8,8 +8,9 @@ import sys
 import pytest
 
 import setmatch
-from setmatch import (FormatError, build, evaluate, from_json, parse_term,
-                      to_json)
+from setmatch import (SCHEMA_VERSION, FormatError, InvariantError, build,
+                      evaluate, from_json, parse_term, random_instance,
+                      to_json, verify_automaton)
 
 
 def test_round_trip_is_byte_identical(nested_automaton):
@@ -37,6 +38,136 @@ def test_round_trip_without_goals_still_evaluates(nested_automaton, sig_fga,
     assert b.states[0].goals is None
     assert evaluate(b, nested_subject).matches \
         == evaluate(nested_automaton, nested_subject).matches
+
+
+def _reload_exactly(a):
+    text = to_json(a)
+    b = from_json(text)
+    assert [s.goals for s in b.states] == [s.goals for s in a.states]
+    assert to_json(b) == text
+    return b
+
+
+@pytest.mark.parametrize("name", ["assoc_automaton", "nested_automaton"])
+def test_round_trip_keeps_goals_exactly(request, name):
+    _reload_exactly(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29, 47])
+def test_round_trip_keeps_goals_of_random_pattern_sets(seed):
+    ps, _ = random_instance(seed, pattern_count=5, pattern_depth=3)
+    _reload_exactly(build(ps))
+
+
+def test_fresh_families_are_stored_as_positions(assoc_automaton):
+    n = len(assoc_automaton.patterns.patterns)
+    doc = _doc(assoc_automaton)
+    assert doc["version"] == SCHEMA_VERSION == 2
+    assert any(entry["fresh"] for entry in doc["states"])
+    for state, entry in zip(assoc_automaton.states, doc["states"]):
+        assert len(state.goals) == len(entry["goals"]) + n * len(entry["fresh"])
+        assert entry["fresh"] == sorted(entry["fresh"])
+        for g in entry["goals"]:
+            ob = g["obligation"]
+            assert not (len(ob) == 1 and ob[0]["pos"] == g["announce"]["pos"]
+                        and ob[0]["pos"] in entry["fresh"])
+
+
+def test_text_is_compact():
+    ps, _ = random_instance(3, pattern_count=5, pattern_depth=3)
+    text = to_json(build(ps))
+    assert text.count("\n") == 1 and ", " not in text and ": " not in text
+
+
+def test_dropped_fresh_goal_survives_the_round_trip(nested_pattern_set):
+    a = build(nested_pattern_set)
+    s = a.states[1]
+    s.goals = tuple(g for g in s.goals if not (g.is_fresh and g.announce == (1,)))
+    b = _reload_exactly(a)
+    with pytest.raises(InvariantError):
+        verify_automaton(b)
+
+
+def test_partial_fresh_family_is_written_goal_by_goal(assoc_pattern_set):
+    a = build(assoc_pattern_set)
+    sid, s = next((i, s) for i, s in enumerate(a.states)
+                  if any(g.is_fresh and g.announce for g in s.goals))
+    dropped = next(g for g in s.goals if g.is_fresh and g.announce)
+    s.goals = tuple(g for g in s.goals if g != dropped)
+    entry = _doc(a)["states"][sid]
+    assert list(dropped.announce) not in entry["fresh"]
+    assert any(g["announce"]["pos"] == list(dropped.announce)
+               and g["obligation"][0]["pos"] == list(dropped.announce)
+               for g in entry["goals"])
+    b = _reload_exactly(a)
+    with pytest.raises(InvariantError, match="missing fresh goal"):
+        verify_automaton(b)
+
+
+def test_goal_that_only_looks_fresh_stays_explicit(nested_automaton):
+    # a lone obligation at its announcement that is not the pattern itself
+    # is not part of a fresh family, even where that family is complete
+    doc = _doc(nested_automaton)
+    assert [1] in doc["states"][1]["fresh"]
+    doc["states"][1]["goals"].append({
+        "obligation": [{"term": "g(_)", "pos": [1]}],
+        "announce": {"pattern": 0, "pos": [1]}})
+    b = from_json(json.dumps(doc))
+    assert len(b.states[1].goals) == len(nested_automaton.states[1].goals) + 1
+    _reload_exactly(b)
+
+
+def test_each_distinct_term_text_is_parsed_once(monkeypatch, assoc_automaton):
+    texts = []
+
+    def parse(text, *args, **kwargs):
+        texts.append(text)
+        return parse_term(text, *args, **kwargs)
+
+    monkeypatch.setattr(setmatch.serialization, "parse_term", parse)
+    doc = _doc(assoc_automaton)
+    from_json(json.dumps(doc))
+    obligations = [pair["term"] for entry in doc["states"]
+                   for g in entry["goals"] for pair in g["obligation"]]
+    assert len(obligations) > len(set(obligations))
+    assert sorted(texts) == sorted(set(doc["patterns"] + obligations))
+
+
+def test_rejects_version_1_and_asks_to_recompile(nested_automaton):
+    doc = _doc(nested_automaton)
+    doc["version"] = 1
+    _expect_error(doc, "$.version")
+    _expect_error(doc, "recompile")
+
+
+@pytest.mark.parametrize("fresh, path", [
+    ([[0]], "$.states[1].fresh[0]"),
+    ([["1"]], "$.states[1].fresh[0]"),
+    ([[1], True], "$.states[1].fresh[1]"),
+    ({"pos": [1]}, "$.states[1].fresh"),
+])
+def test_rejects_malformed_fresh_entry(nested_automaton, fresh, path):
+    doc = _doc(nested_automaton)
+    doc["states"][1]["fresh"] = fresh
+    _expect_error(doc, path)
+
+
+def test_rejects_fresh_without_goals(nested_automaton):
+    doc = _doc(nested_automaton)
+    del doc["states"][1]["goals"]
+    _expect_error(doc, "missing field 'goals'")
+
+
+def test_rejects_bool_initial(nested_automaton):
+    doc = _doc(nested_automaton)
+    doc["initial"] = True
+    _expect_error(doc, "initial")
+
+
+def test_rejects_bool_state_id(nested_automaton):
+    doc = _doc(nested_automaton)
+    doc["states"][1]["id"] = True
+    _expect_error(doc, "id")
 
 
 def _doc(a):
