@@ -7,14 +7,25 @@ split into dependency classes; each class, shifted back to its own root,
 becomes one successor state.  Goals completed by the observation leave the
 state machine as outputs.  A transition with no targets is the implicit
 final state: nothing is left to watch below this point.
+
+Every obligation position of a state carries the fresh goal of every
+pattern, so :func:`build` works on a state's compact key instead: the
+frozenset of its non-fresh goals and its fresh positions, each position
+standing for that family.  The step runs the non-fresh goals through
+:func:`goal_outcome`, takes the family at the label from a per-symbol
+table, keeps the other positions and adds one per argument.  States are
+interned on that key; ``State.goals`` is the full canonical goal set, built
+once per state.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import InvariantError
 from .goals import (Goal, Outcome, canonical_goals, dependency_partition,
-                    fresh_goal, goal_outcome, goal_sort_key, lift_class)
+                    fresh_goal, goal_outcome, goal_sort_key, lift_class,
+                    split_fresh)
 from .positions import Position, comparable, format_position, prefix_leq
 from .terms import PatternSet, Signature, Symbol, domain
 
@@ -79,10 +90,14 @@ def derivative(state: State, symbol: Symbol, ps: PatternSet) -> list[Goal]:
 
     Unchanged and reduced goals survive; discarded and completed goals drop
     out (completions are reported by :func:`outputs` instead); fresh goals
-    appear below the observed position, one per pattern and argument.
+    appear below the observed position, one per pattern and argument.  This
+    is the compact step of :func:`build` with every fresh family written
+    out.
     """
-    deriv, _ = _step(state, symbol, ps)
-    return deriv
+    goals, fresh = split_fresh(state.goals, ps.patterns)
+    deriv, positions, _ = _step(goals, fresh, state.label, symbol,
+                                _family_outcomes(ps, symbol))
+    return _expand(deriv, positions, ps.patterns, {})
 
 
 def outputs(state: State, symbol: Symbol) -> tuple[Announcement, ...]:
@@ -101,11 +116,33 @@ def outputs(state: State, symbol: Symbol) -> tuple[Announcement, ...]:
     return tuple(sorted(outs))
 
 
-def _step(state: State, symbol: Symbol, ps: PatternSet):
+def _family_outcomes(ps: PatternSet, symbol: Symbol):
+    """What observing ``symbol`` does to a fresh family at the root.
+
+    Returns the ids of the patterns it completes and the goals the others
+    reduce to; the patterns it discards are in neither.
+    """
+    done, reduced = [], []
+    for pid, pat in enumerate(ps.patterns):
+        outcome, goal = goal_outcome(fresh_goal(pid, pat, ()), symbol, ())
+        if outcome is Outcome.COMPLETED:
+            done.append(pid)
+        elif outcome is Outcome.REDUCED:
+            reduced.append(goal)
+    return tuple(done), tuple(reduced)
+
+
+def _step(goals, fresh, at: Position, symbol: Symbol, outcomes):
+    """Observe ``symbol`` at ``at`` in the compact state (``goals``, ``fresh``).
+
+    ``goals`` are the non-fresh goals, ``fresh`` the fresh positions and
+    ``outcomes`` is ``_family_outcomes`` of ``symbol``.  Returns the
+    surviving non-fresh goals, the fresh positions after the step and the
+    completed announcements.
+    """
     deriv: list[Goal] = []
     completed: list[Announcement] = []
-    at = state.label
-    for g in state.goals:
+    for g in goals:
         outcome, reduced = goal_outcome(g, symbol, at)
         if outcome is Outcome.UNCHANGED:
             deriv.append(g)
@@ -113,53 +150,111 @@ def _step(state: State, symbol: Symbol, ps: PatternSet):
             deriv.append(reduced)
         elif outcome is Outcome.COMPLETED:
             completed.append((g.pattern, g.announce))
-    for i in range(1, symbol.arity + 1):
-        below = at + (i,)
-        for pid, pat in enumerate(ps.patterns):
-            deriv.append(fresh_goal(pid, pat, below))
-    return deriv, completed
+    positions = [p for p in fresh if p != at]
+    if len(positions) < len(fresh):  # a fresh family sits at the label
+        done, reduced = outcomes
+        completed.extend((pid, at) for pid in done)
+        if at:  # the table's goals announce at the root
+            reduced = [Goal(frozenset((t, at + q) for t, q in g.obligation),
+                            g.pattern, at) for g in reduced]
+        deriv.extend(reduced)
+    positions.extend(at + (i,) for i in range(1, symbol.arity + 1))
+    return deriv, positions, completed
+
+
+def _expand(goals, fresh, patterns, families: dict) -> list[Goal]:
+    """``goals`` plus the fresh family at every position in ``fresh``.
+
+    ``families`` memoises each position's family, so the states that hold
+    it share its goals.
+    """
+    out = list(goals)
+    for p in fresh:
+        family = families.get(p)
+        if family is None:
+            family = families[p] = [fresh_goal(pid, pat, p)
+                                    for pid, pat in enumerate(patterns)]
+        out.extend(family)
+    return out
+
+
+def _order_targets(entries: list, patterns, families: dict) -> None:
+    """Sort a transition's (shift, key) entries as their full goal sets sort.
+
+    That order is by shift, then by the canonical goal order; two targets
+    of one transition rarely share a shift, so the goal order, which formats
+    every obligation term, is computed only when they do.
+    """
+    if len({shift for shift, _ in entries}) == len(entries):
+        entries.sort(key=itemgetter(0))
+        return
+
+    def goal_order(entry):
+        shift, key = entry
+        full = _expand(*_split_key(key), patterns, families)
+        return shift, tuple(map(goal_sort_key, canonical_goals(full)))
+
+    entries.sort(key=goal_order)
+
+
+def _split_key(key: frozenset) -> tuple[list[Goal], list[Position]]:
+    """A compact key's non-fresh goals and fresh positions."""
+    goals, fresh = [], []
+    for m in key:
+        (goals if isinstance(m, Goal) else fresh).append(m)
+    return goals, fresh
 
 
 def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
     """Compile ``ps``; deterministic for a fixed strategy.
 
-    Worklist construction with states deduplicated by goal-set equality.
-    New ids are handed out in discovery order; symbols are visited in
-    signature declaration order and successor classes in canonical order,
+    Worklist construction with states deduplicated by their compact key,
+    which is equal exactly when the full goal sets are.  New ids are handed
+    out in discovery order; symbols are visited in signature declaration
+    order and successor classes in the canonical order of their goal sets,
     so rebuilding yields an identical automaton.
     """
     if label_strategy not in _STRATEGIES:
         raise ValueError(f"unknown label strategy {label_strategy!r}")
     sig = ps.signature
+    patterns = ps.patterns
+    outcomes = {symbol: _family_outcomes(ps, symbol) for symbol in sig}
+    families: dict[Position, list[Goal]] = {}  # fresh goals, by position
     states: list[State] = []
+    compact: list[tuple[list[Goal], list[Position]]] = []  # per state id
     ids: dict[frozenset, int] = {}
     pending: deque[int] = deque()
 
-    def intern(goal_set: frozenset) -> int:
-        sid = ids.get(goal_set)
+    def intern(key: frozenset) -> int:
+        sid = ids.get(key)
         if sid is None:
             sid = len(states)
-            ids[goal_set] = sid
-            states.append(State(label=choose_label(goal_set, label_strategy),
-                                goals=canonical_goals(goal_set)))
+            ids[key] = sid
+            goals, fresh = _split_key(key)
+            full = _expand(goals, fresh, patterns, families)
+            states.append(State(label=choose_label(full, label_strategy),
+                                goals=canonical_goals(full)))
+            compact.append((goals, fresh))
             pending.append(sid)
         return sid
 
-    intern(initial_goals(ps))
+    intern(frozenset({()}))  # the fresh family at the root: initial_goals(ps)
     while pending:
         sid = pending.popleft()
-        state = states[sid]
+        label = states[sid].label
+        goals, fresh = compact[sid]
+        delta = states[sid].delta
         for symbol in sig:
-            deriv, completed = _step(state, symbol, ps)
-            outs = tuple(sorted(completed))
+            deriv, positions, completed = _step(goals, fresh, label, symbol,
+                                                outcomes[symbol])
             entries = []
-            for klass in dependency_partition(deriv):
+            for klass in dependency_partition(deriv + positions):
                 lifted, shift = lift_class(klass)
-                canon = canonical_goals(lifted)
-                entries.append((shift, tuple(map(goal_sort_key, canon)), frozenset(canon)))
-            entries.sort(key=lambda e: (e[0], e[1]))
-            targets = tuple((intern(goal_set), shift) for shift, _, goal_set in entries)
-            state.delta[symbol.name] = Transition(outputs=outs, targets=targets)
+                entries.append((shift, frozenset(lifted)))
+            _order_targets(entries, patterns, families)
+            targets = tuple((intern(key), shift) for shift, key in entries)
+            delta[symbol.name] = Transition(outputs=tuple(sorted(completed)),
+                                            targets=targets)
     return SetAutomaton(signature=sig, patterns=ps, states=states)
 
 

@@ -7,6 +7,11 @@ Observing a symbol at a position transforms a goal in one of four ways
 members, splitting the result into independent classes
 (:func:`dependency_partition`) and re-rooting each class
 (:func:`lift_class`).
+
+A state holds the fresh goal of every pattern at each of its obligation
+positions, so it can be kept compact: its non-fresh goals plus the
+positions of its fresh families (:func:`split_fresh`).  The partition and
+the lift take such a position in place of the family it stands for.
 """
 
 from dataclasses import dataclass
@@ -53,6 +58,32 @@ def fresh_goal(pattern_id: int, pattern: Term, at: Position) -> Goal:
     return Goal(frozenset({(pattern, at)}), pattern_id, at)
 
 
+# A class member: a goal, or a position standing for the complete fresh
+# family there, one fresh goal per pattern.
+Member = Goal | Position
+
+
+def split_fresh(goals, patterns) -> tuple[list[Goal], list[Position]]:
+    """The non-fresh goals, in input order, and the sorted fresh positions.
+
+    A fresh position is one where ``goals`` hold ``fresh_goal(pid,
+    patterns[pid], p)`` for every pattern.  A partial family counts as
+    non-fresh goals, so the split is lossless for any goal set.
+    """
+    goals = list(goals)
+    fresh_flags = [g.is_fresh and next(iter(g.obligation))[0] == patterns[g.pattern]
+                   for g in goals]
+    pids: dict[Position, set[int]] = {}
+    for g, is_fresh in zip(goals, fresh_flags):
+        if is_fresh:
+            pids.setdefault(g.announce, set()).add(g.pattern)
+    fresh = sorted(p for p, ids in pids.items() if len(ids) == len(patterns))
+    family = set(fresh)
+    others = [g for g, is_fresh in zip(goals, fresh_flags)
+              if not (is_fresh and g.announce in family)]
+    return others, fresh
+
+
 class Outcome(Enum):
     UNCHANGED = "unchanged"
     REDUCED = "reduced"
@@ -93,21 +124,25 @@ def goal_outcome(goal: Goal, symbol: Symbol, at: Position):
         return Outcome.DISCARDED, None
     rest = reduce(goal.obligation, symbol, at)
     if not rest:
-        # an emptied obligation is always a lone f(_,...,_) at the observed spot
-        assert len(goal.obligation) == 1 and all(
-            c.symbol is None for t, _ in goal.obligation for c in t.children)
+        # ``reduce`` keeps every pair away from ``at``, so all pairs were at
+        # ``at``; each is ``symbol`` (else DISCARDED above) and pushed no
+        # child, so each is ``symbol(_,...,_)``.  Equal pairs are one member
+        # of the frozenset: the obligation was that lone pair.
         return Outcome.COMPLETED, None
     return Outcome.REDUCED, Goal(rest, goal.pattern, goal.announce)
 
 
-def dependency_partition(goals) -> list[list[Goal]]:
-    """Group goals whose obligations are linked by shared positions.
+def dependency_partition(members) -> list[list[Member]]:
+    """Group members whose obligations are linked by shared positions.
 
-    Union-find over positions: two goals land in the same class iff a chain
-    of position overlaps connects their obligations.  Class order follows
-    first appearance in the input, so the result is deterministic.
+    Members are goals, or fresh positions standing for their families.
+    Union-find over positions: two members land in the same class iff a
+    chain of position overlaps connects them; a fresh position joins the
+    class of every goal that watches it and links nothing itself.  Class
+    order follows first appearance in the input, so the result is
+    deterministic.
     """
-    goals = list(goals)
+    members = list(members)
     parent: dict[Position, Position] = {}
 
     def find(x: Position) -> Position:
@@ -118,56 +153,69 @@ def dependency_partition(goals) -> list[list[Goal]]:
             parent[x], x = root, parent[x]
         return root
 
-    for g in goals:
-        first = None
-        for p in g.positions():
-            parent.setdefault(p, p)
-            if first is None:
-                first = p
-            else:
-                parent[find(p)] = find(first)
+    firsts = []  # one position of each member
+    for m in members:
+        if isinstance(m, Goal):
+            first = None
+            for _, p in m.obligation:
+                if p not in parent:
+                    parent[p] = p
+                if first is None:
+                    first = p
+                else:
+                    parent[find(p)] = find(first)
+        else:
+            first = m
+            if m not in parent:
+                parent[m] = m
+        firsts.append(first)
 
-    classes: list[list[Goal]] = []
+    classes: list[list[Member]] = []
     index: dict[Position, int] = {}
-    for g in goals:
-        root = find(next(iter(g.positions())))
+    for m, first in zip(members, firsts):
+        root = find(first)
         at = index.get(root)
         if at is None:
             at = len(classes)
             index[root] = at
             classes.append([])
-        classes[at].append(g)
+        classes[at].append(m)
     return classes
 
 
-def lift_class(goals) -> tuple[list[Goal], Position]:
+def lift_class(members) -> tuple[list[Member], Position]:
     """Strip the class's common announcement prefix from every position.
 
-    The shift is the greatest common prefix of the announcement positions.
-    Every position in the class must extend it; anything else means the
-    construction upstream is broken, not that the input was unusual.
+    Members are goals, or fresh positions standing for their families; a
+    fresh position announces at itself.  The shift is the greatest common
+    prefix of the announcement positions.  Every obligation position in the
+    class must extend it; anything else means the construction upstream is
+    broken, not that the input was unusual.
     """
-    goals = list(goals)
-    if not goals:
+    members = list(members)
+    if not members:
         raise InvariantError("cannot lift an empty class")
-    shift = gcp(g.announce for g in goals)
+    shift = gcp(m.announce if isinstance(m, Goal) else m for m in members)
     if not shift:
-        return goals, shift
+        return members, shift
     cut = len(shift)
     lifted = []
-    for g in goals:
-        if not prefix_leq(g.announce, shift):
+    for m in members:
+        if not isinstance(m, Goal):
+            lifted.append(m[cut:])  # extends the shift: it took part in the gcp
+            continue
+        if not prefix_leq(m.announce, shift):
             raise InvariantError(
-                f"announcement {format_position(g.announce)} does not extend "
+                f"announcement {format_position(m.announce)} does not extend "
                 f"shift {format_position(shift)}")
         pairs = []
-        for term, pos in g.obligation:
+        for term, pos in m.obligation:
             if not prefix_leq(pos, shift):
                 raise InvariantError(
                     f"obligation position {format_position(pos)} does not extend "
                     f"shift {format_position(shift)}")
             pairs.append((term, pos[cut:]))
-        lifted.append(Goal(frozenset(pairs), g.pattern, g.announce[cut:]))
+        lifted.append(Goal(frozenset(pairs), m.pattern, m.announce[cut:]))
     return lifted, shift
 
 

@@ -55,20 +55,40 @@ def random_pattern(rng: random.Random, sig: Signature, depth: int,
 
 
 def _random_term(rng, sig, depth, density, allow_wildcard):
-    if allow_wildcard and rng.random() < density:
-        return WILDCARD
-    if depth > 0:
-        choices = list(sig)
-    else:
-        choices = [s for s in sig if s.arity == 0]
-        if not choices:
-            if allow_wildcard:
-                return WILDCARD
-            raise ValueError("signature has no constants to bottom out at")
-    sym = rng.choice(choices)
-    kids = tuple(_random_term(rng, sig, depth - 1, density, True)
-                 for _ in range(sym.arity))
-    return Term(sym, kids)
+    """Draw nodes in preorder, each child one level shallower than its parent.
+
+    The open nodes wait on a stack, so ``depth`` is limited by memory only;
+    the draws come in the order a recursive generator would make them, so a
+    seed yields the same term.
+    """
+    symbols = list(sig)
+    constants = [s for s in symbols if s.arity == 0]
+    open_nodes = []  # (symbol, its depth, its children so far)
+    while True:
+        if allow_wildcard and rng.random() < density:
+            term = WILDCARD
+        elif depth <= 0 and not constants:
+            if not allow_wildcard:
+                raise ValueError("signature has no constants to bottom out at")
+            term = WILDCARD
+        else:
+            sym = rng.choice(symbols if depth > 0 else constants)
+            if sym.arity:
+                open_nodes.append((sym, depth, []))
+                depth -= 1
+                allow_wildcard = True
+                continue
+            term = Term(sym)
+        while open_nodes:
+            sym, at_depth, kids = open_nodes[-1]
+            kids.append(term)
+            if len(kids) < sym.arity:
+                depth = at_depth - 1
+                break
+            open_nodes.pop()
+            term = Term(sym, kids)
+        else:
+            return term
 
 
 def random_pattern_set(rng: random.Random, sig: Signature, count: int,

@@ -21,7 +21,7 @@ import json
 
 from .automaton import SetAutomaton, State, Transition
 from .errors import FormatError, ParseError, PatternSetError, SignatureError
-from .goals import Goal, canonical_goals, fresh_goal
+from .goals import Goal, canonical_goals, fresh_goal, split_fresh
 from .terms import PatternSet, Signature, Term, format_term, parse_term
 
 SCHEMA_VERSION = 2
@@ -33,11 +33,9 @@ def to_json(a: SetAutomaton, *, include_goals: bool = True) -> str:
     for sid, st in enumerate(a.states):
         entry = {"id": sid, "label": list(st.label)}
         if include_goals and st.goals is not None:
-            fresh = _fresh_positions(st.goals, patterns)
-            family = set(fresh)
+            others, fresh = split_fresh(st.goals, patterns)
             entry["fresh"] = [list(p) for p in fresh]
-            entry["goals"] = [_goal_doc(g) for g in st.goals
-                              if not (g.announce in family and _is_fresh(g, patterns))]
+            entry["goals"] = [_goal_doc(g) for g in others]
         entry["delta"] = {
             name: {
                 "outputs": [{"pattern": pid, "pos": list(pos)} for pid, pos in tr.outputs],
@@ -54,23 +52,6 @@ def to_json(a: SetAutomaton, *, include_goals: bool = True) -> str:
         "states": states,
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
-
-
-def _is_fresh(g: Goal, patterns) -> bool:
-    """``g`` is ``fresh_goal(g.pattern, patterns[g.pattern], g.announce)``."""
-    if not g.is_fresh:
-        return False
-    ((term, _),) = g.obligation
-    return term == patterns[g.pattern]
-
-
-def _fresh_positions(goals, patterns) -> list:
-    """Sorted positions where ``goals`` hold the fresh goal of every pattern."""
-    pids: dict = {}
-    for g in goals:
-        if _is_fresh(g, patterns):
-            pids.setdefault(g.announce, set()).add(g.pattern)
-    return sorted(p for p, ids in pids.items() if len(ids) == len(patterns))
 
 
 def _goal_doc(g: Goal) -> dict:
@@ -134,6 +115,7 @@ def from_json(text: str) -> SetAutomaton:
           f"must be a state id below {n_states}")
 
     sym_names = [s.name for s in sig]
+    n_patterns = len(terms)
     states: list[State] = []
     for i, entry in enumerate(raw_states):
         path = f"$.states[{i}]"
@@ -145,50 +127,133 @@ def from_json(text: str) -> SetAutomaton:
 
         goals = None
         if "goals" in entry or "fresh" in entry:
-            goals = [_goal_from(doc_g, f"{path}.goals[{j}]", sig, len(terms), parsed)
-                     for j, doc_g in enumerate(
-                         _list(_field(entry, "goals", path), path + ".goals"))]
-            for j, p in enumerate(_list(_field(entry, "fresh", path), path + ".fresh")):
-                at = _position(p, f"{path}.fresh[{j}]")
+            raw_goals = _list(_field(entry, "goals", path), path + ".goals")
+            goals = []
+            for j, doc_g in enumerate(raw_goals):
+                g = _goal(doc_g, sig, n_patterns, parsed)
+                goals.append(g if g is not None else _checked_goal(
+                    doc_g, f"{path}.goals[{j}]", sig, n_patterns, parsed))
+            for j, at in enumerate(_list(_field(entry, "fresh", path), path + ".fresh")):
+                if not _is_position(at):
+                    _position(at, f"{path}.fresh[{j}]")  # raises, with the path
+                at = tuple(at)
                 goals.extend(fresh_goal(pid, pat, at) for pid, pat in enumerate(terms))
             goals = canonical_goals(set(goals))
 
         raw_delta = _field(entry, "delta", path)
-        _need(isinstance(raw_delta, dict), path + ".delta", "must be an object")
-        for name in raw_delta:
-            _need(name in sym_names, f"{path}.delta.{name}",
-                  "symbol is not in the signature")
-        delta = {}
-        for name in sym_names:
-            dpath = f"{path}.delta.{name}"
-            _need(name in raw_delta, path + ".delta",
-                  f"missing transition for symbol '{name}'")
-            tr = raw_delta[name]
-            _need(isinstance(tr, dict), dpath, "must be an object")
-            outs = []
-            for j, o in enumerate(_list(_field(tr, "outputs", dpath), dpath + ".outputs")):
-                opath = f"{dpath}.outputs[{j}]"
-                _need(isinstance(o, dict), opath, "must be an object")
-                pid = _field(o, "pattern", opath)
-                _need(_is_int(pid) and 0 <= pid < len(terms),
-                      opath + ".pattern", "unknown pattern id")
-                outs.append((pid, _position(_field(o, "pos", opath), opath + ".pos")))
-            tgts = []
-            for j, t in enumerate(_list(_field(tr, "targets", dpath), dpath + ".targets")):
-                tpath = f"{dpath}.targets[{j}]"
-                _need(isinstance(t, dict), tpath, "must be an object")
-                tid = _field(t, "state", tpath)
-                _need(_is_int(tid) and 0 <= tid < n_states,
-                      tpath + ".state", f"unknown state id {tid!r}")
-                tgts.append((tid, _position(_field(t, "shift", tpath), tpath + ".shift")))
-            delta[name] = Transition(outputs=tuple(outs), targets=tuple(tgts))
+        delta = _transitions(raw_delta, sym_names, n_patterns, n_states)
+        if delta is None:
+            delta = _checked_transitions(raw_delta, path, sym_names, n_patterns, n_states)
         states.append(State(label=label, goals=goals, delta=delta))
 
     return SetAutomaton(signature=sig, patterns=patterns, states=states,
                         initial=initial)
 
 
-def _goal_from(doc_g, path, sig, n_patterns, parsed) -> Goal:
+# A state's goals and transitions are read first by a reader that formats
+# no JSON path and returns None at the first check that fails.  Only then
+# does the checked reader run: the same checks in the same order, with the
+# path of each value, raising at the first that fails.
+
+def _transitions(raw_delta, sym_names, n_patterns, n_states) -> dict | None:
+    """The transitions of a well-formed ``delta`` object, else None."""
+    if type(raw_delta) is not dict or len(raw_delta) != len(sym_names):
+        return None
+    delta = {}
+    for name in sym_names:
+        tr = raw_delta.get(name)
+        if type(tr) is not dict:
+            return None
+        raw_outs = tr.get("outputs")
+        raw_tgts = tr.get("targets")
+        if type(raw_outs) is not list or type(raw_tgts) is not list:
+            return None
+        outs = []
+        for o in raw_outs:
+            if type(o) is not dict:
+                return None
+            pid = o.get("pattern")
+            pos = o.get("pos")
+            if type(pid) is not int or not 0 <= pid < n_patterns or not _is_position(pos):
+                return None
+            outs.append((pid, tuple(pos)))
+        tgts = []
+        for t in raw_tgts:
+            if type(t) is not dict:
+                return None
+            tid = t.get("state")
+            shift = t.get("shift")
+            if type(tid) is not int or not 0 <= tid < n_states or not _is_position(shift):
+                return None
+            tgts.append((tid, tuple(shift)))
+        delta[name] = Transition(outputs=tuple(outs), targets=tuple(tgts))
+    return delta
+
+
+def _checked_transitions(raw_delta, path, sym_names, n_patterns, n_states) -> dict:
+    _need(isinstance(raw_delta, dict), path + ".delta", "must be an object")
+    for name in raw_delta:
+        _need(name in sym_names, f"{path}.delta.{name}",
+              "symbol is not in the signature")
+    delta = {}
+    for name in sym_names:
+        dpath = f"{path}.delta.{name}"
+        _need(name in raw_delta, path + ".delta",
+              f"missing transition for symbol '{name}'")
+        tr = raw_delta[name]
+        _need(isinstance(tr, dict), dpath, "must be an object")
+        outs = []
+        for j, o in enumerate(_list(_field(tr, "outputs", dpath), dpath + ".outputs")):
+            opath = f"{dpath}.outputs[{j}]"
+            _need(isinstance(o, dict), opath, "must be an object")
+            pid = _field(o, "pattern", opath)
+            _need(_is_int(pid) and 0 <= pid < n_patterns,
+                  opath + ".pattern", "unknown pattern id")
+            outs.append((pid, _position(_field(o, "pos", opath), opath + ".pos")))
+        tgts = []
+        for j, t in enumerate(_list(_field(tr, "targets", dpath), dpath + ".targets")):
+            tpath = f"{dpath}.targets[{j}]"
+            _need(isinstance(t, dict), tpath, "must be an object")
+            tid = _field(t, "state", tpath)
+            _need(_is_int(tid) and 0 <= tid < n_states,
+                  tpath + ".state", f"unknown state id {tid!r}")
+            tgts.append((tid, _position(_field(t, "shift", tpath), tpath + ".shift")))
+        delta[name] = Transition(outputs=tuple(outs), targets=tuple(tgts))
+    return delta
+
+
+def _goal(doc_g, sig, n_patterns, parsed) -> Goal | None:
+    """The goal a well-formed goal entry describes, else None."""
+    if type(doc_g) is not dict:
+        return None
+    raw_ob = doc_g.get("obligation")
+    ann = doc_g.get("announce")
+    if type(raw_ob) is not list or not raw_ob or type(ann) is not dict:
+        return None
+    pairs = []
+    for pair in raw_ob:
+        if type(pair) is not dict:
+            return None
+        text = pair.get("term")
+        pos = pair.get("pos")
+        if type(text) is not str or not _is_position(pos):
+            return None
+        term = parsed.get(text)
+        if term is None:
+            try:
+                term = parse_term(text, sig, allow_wildcard=True, extend=False)
+            except ParseError:
+                return None
+            parsed[text] = term
+        pairs.append((term, tuple(pos)))
+    pid = ann.get("pattern")
+    pos = ann.get("pos")
+    if type(pid) is not int or not 0 <= pid < n_patterns or not _is_position(pos):
+        return None
+    return Goal(frozenset(pairs), pid, tuple(pos))
+
+
+def _checked_goal(doc_g, path, sig, n_patterns, parsed) -> Goal:
     _need(isinstance(doc_g, dict), path, "must be an object")
     raw_ob = _list(_field(doc_g, "obligation", path), path + ".obligation")
     _need(len(raw_ob) > 0, path + ".obligation", "must be non-empty")
@@ -242,8 +307,16 @@ def _list(value, path):
     return value
 
 
-def _position(value, path) -> tuple:
-    _need(isinstance(value, list), path, "must be an array of positive integers")
+def _is_position(value) -> bool:
+    """A JSON array of positive integers."""
+    if type(value) is not list:
+        return False
     for x in value:
-        _need(_is_int(x) and x >= 1, path, "must be an array of positive integers")
+        if type(x) is not int or x < 1:
+            return False
+    return True
+
+
+def _position(value, path) -> tuple:
+    _need(_is_position(value), path, "must be an array of positive integers")
     return tuple(value)

@@ -77,35 +77,68 @@ WILDCARD = Term(None)
 
 
 def format_term(t: Term) -> str:
-    """Canonical text: ``_`` for the wildcard, ``name(child,...)`` otherwise."""
+    """Canonical text: ``_`` for the wildcard, ``name(child,...)`` otherwise.
+
+    The text is cached on ``t``; a subterm whose text is cached already is
+    copied, not walked.  The walk keeps its own stack, so nesting depth is
+    limited by memory only.
+    """
     text = t._text
     if text is None:
-        if t.symbol is None:
-            text = "_"
-        elif not t.children:
-            text = t.symbol.name
-        else:
-            text = t.symbol.name + "(" + ",".join(format_term(c) for c in t.children) + ")"
-        t._text = text
+        parts: list[str] = []
+        stack: list = [t]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                parts.append(item)
+            elif item._text is not None:
+                parts.append(item._text)
+            elif item.symbol is None:
+                parts.append("_")
+            else:
+                parts.append(item.symbol.name)
+                kids = item.children
+                if kids:
+                    parts.append("(")
+                    stack.append(")")
+                    for k in range(len(kids) - 1, 0, -1):
+                        stack.append(kids[k])
+                        stack.append(",")
+                    stack.append(kids[0])
+        text = t._text = "".join(parts)
     return text
 
 
 def term_depth(t: Term) -> int:
     """Nesting depth in edges; leaves (constants and wildcards) have depth 0."""
-    if not t.children:
-        return 0
-    return 1 + max(term_depth(c) for c in t.children)
+    deepest = 0
+    stack = [(t, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > deepest:
+            deepest = depth
+        stack.extend((c, depth + 1) for c in node.children)
+    return deepest
 
 
 def term_size(t: Term) -> int:
     """Number of nodes, wildcards included."""
-    return 1 + sum(term_size(c) for c in t.children)
+    size = 0
+    stack = [t]
+    while stack:
+        size += 1
+        stack.extend(stack.pop().children)
+    return size
 
 
 def contains_wildcard(t: Term) -> bool:
-    if t.symbol is None:
-        return True
-    return any(contains_wildcard(c) for c in t.children)
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node.symbol is None:
+            return True
+        stack.extend(node.children)
+    return False
 
 
 class Signature:
@@ -385,12 +418,15 @@ class PatternSet:
 
 
 def _check_over_signature(t: Term, sig: Signature, idx: int) -> None:
-    if t.symbol is None:
-        return
-    have = sig.get(t.symbol.name)
-    if have is None or have.arity != t.symbol.arity:
-        raise PatternSetError(
-            f"pattern {idx}: symbol '{t.symbol.name}/{t.symbol.arity}' "
-            "is not in the signature")
-    for c in t.children:
-        _check_over_signature(c, sig, idx)
+    """Raise for the first symbol of ``t``, in preorder, that ``sig`` lacks."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node.symbol is None:
+            continue
+        have = sig.get(node.symbol.name)
+        if have is None or have.arity != node.symbol.arity:
+            raise PatternSetError(
+                f"pattern {idx}: symbol '{node.symbol.name}/{node.symbol.arity}' "
+                "is not in the signature")
+        stack.extend(reversed(node.children))

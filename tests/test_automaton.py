@@ -5,16 +5,21 @@ construction rules, one transition at a time, before being compared
 against build() output.
 """
 
+import hashlib
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
-from setmatch import (LEFTMOST, RIGHTMOST, Goal, InvariantError, PatternSet,
-                      Signature, build, choose_label, derivative, evaluate,
-                      fresh_goal, initial_state, outputs, parse_term,
-                      prefix_leq, reachable_position_bound, to_json,
-                      transition_count, verify_automaton)
-from setmatch.automaton import initial_goals
-from setmatch.goals import canonical_goals
+from setmatch import (LEFTMOST, RIGHTMOST, Goal, InvariantError, Outcome,
+                      PatternSet, Signature, build, choose_label,
+                      dependency_partition, derivative, evaluate, fresh_goal,
+                      goal_outcome, initial_state, lift_class, outputs,
+                      parse_term, prefix_leq, random_instance,
+                      reachable_position_bound, to_json, transition_count,
+                      verify_automaton)
+from setmatch.automaton import State, initial_goals
+from setmatch.goals import canonical_goals, split_fresh
 
 from conftest import pattern_sets
 
@@ -244,6 +249,101 @@ def test_build_is_deterministic_in_process(nested_pattern_set):
     a1 = build(nested_pattern_set)
     a2 = build(nested_pattern_set)
     assert to_json(a1) == to_json(a2)
+
+
+# SHA-256 of to_json(build(ps, strategy)), recorded when build still stepped
+# every fresh goal one by one; interning on compact keys must not move a
+# state id, a target or a byte.
+PINNED_DOCUMENTS = {
+    ("nested", LEFTMOST): "7c272aa5c7da510372ad5791e052efa109a50a21aa673f61ceca4a5e85a97c14",
+    ("nested", RIGHTMOST): "2a3a62671942e6ebbad067b3e8119b251653b6933e78f9340350c27e00c43a9b",
+    ("assoc", LEFTMOST): "f696fde5009580ab977c0aada8b90288a123456fa6350bc8559cabd34e878694",
+    ("assoc", RIGHTMOST): "f696fde5009580ab977c0aada8b90288a123456fa6350bc8559cabd34e878694",
+    ("shared shift", LEFTMOST): "2d09bb38e82edd33addeba422a5d3ba9fcdc761533bdf777d3dcd4561954aa00",
+    ("shared shift", RIGHTMOST): "2d09bb38e82edd33addeba422a5d3ba9fcdc761533bdf777d3dcd4561954aa00",
+    (0, LEFTMOST): "a47ffde9cfb019a22d18b87d8efe65b22a37219a3b467d380759c0921412c106",
+    (0, RIGHTMOST): "5872e7d43f75a622e802988fd85b027516e2c70c33ba1a55674aa7f3ea2fd197",
+    (1, LEFTMOST): "2342fa4e9e61a253fc48e405993e60b3b14b46a03f4c55e145ba6a0b74fad8ac",
+    (1, RIGHTMOST): "2342fa4e9e61a253fc48e405993e60b3b14b46a03f4c55e145ba6a0b74fad8ac",
+    (2, LEFTMOST): "1f64850b665558aedc64e3d25f150fe4f4fda64a940ce56237d379ef35b9890c",
+    (2, RIGHTMOST): "dd6b864050af9f48c2787c74fe686c2ffb48cca890fecc764ac80671f87c4d21",
+    (3, LEFTMOST): "90aeb50228dd12d41e6ce0d5dfb1e92eb1e5e9d36ea46c11925c514eeb89d4b9",
+    (3, RIGHTMOST): "fcc368e54c2215b0e5e3ac4aa2fcf51095b1a6878af0f22ba2962bb1d704a3d5",
+    (4, LEFTMOST): "2bc9cf13a5cd194ea07a1140f2e6a5bc17ed4395cf1352c6d44db27e9e0e8545",
+    (4, RIGHTMOST): "2bc9cf13a5cd194ea07a1140f2e6a5bc17ed4395cf1352c6d44db27e9e0e8545",
+    (5, LEFTMOST): "948c7c9f9f8d0ecd97e7d327fdf7e0b0f18162301c7e52e577c0a7fee509994c",
+    (5, RIGHTMOST): "6b4d8a633e3a1f086720c561de3e027e080be0d8427ba6c5f75cd03dc46e5e1d",
+}
+
+
+@pytest.mark.parametrize("name, strategy", sorted(PINNED_DOCUMENTS, key=str))
+def test_compiled_documents_are_pinned(request, name, strategy):
+    if name in ("nested", "assoc"):
+        ps = request.getfixturevalue(f"{name}_pattern_set")
+    elif name == "shared shift":  # two targets of one transition share a shift
+        ps = PatternSet.from_text("f(a,_)\nf(_,b)\n")
+    else:
+        ps, _ = random_instance(name, pattern_count=6)
+    text = to_json(build(ps, strategy))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DOCUMENTS[name, strategy]
+
+
+def _goal_by_goal(state, symbol, ps):
+    """The derivative with every fresh goal stepped on its own."""
+    out = []
+    for g in state.goals:
+        outcome, reduced = goal_outcome(g, symbol, state.label)
+        if outcome is Outcome.UNCHANGED:
+            out.append(g)
+        elif outcome is Outcome.REDUCED:
+            out.append(reduced)
+    for i in range(1, symbol.arity + 1):
+        out.extend(fresh_goal(pid, pat, state.label + (i,))
+                   for pid, pat in enumerate(ps.patterns))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(pattern_sets())
+def test_compact_step_expands_to_the_goal_by_goal_step(ps):
+    for strategy in (LEFTMOST, RIGHTMOST):
+        a = build(ps, strategy)
+        verify_automaton(a)
+        for state in a.states:
+            # every obligation position carries the whole fresh family
+            _, fresh = split_fresh(state.goals, ps.patterns)
+            assert set(fresh) == {p for g in state.goals for p in g.positions()}
+            # a partial family is stepped goal by goal
+            partial = State(label=state.label, goals=tuple(
+                g for g in state.goals if g != fresh_goal(0, ps[0], state.label)))
+            for symbol in a.signature:
+                assert Counter(derivative(partial, symbol, ps)) \
+                    == Counter(_goal_by_goal(partial, symbol, ps))
+                full = _goal_by_goal(state, symbol, ps)
+                assert Counter(derivative(state, symbol, ps)) == Counter(full)
+                # the built transition is the partition and lift of that
+                # derivative, target for target
+                want = Counter()
+                for klass in dependency_partition(full):
+                    lifted, shift = lift_class(klass)
+                    want[frozenset(lifted), shift] += 1
+                tr = state.delta[symbol.name]
+                got = Counter((frozenset(a.states[tid].goals), shift)
+                              for tid, shift in tr.targets)
+                assert got == want
+                assert tr.outputs == outputs(state, symbol)
+
+
+def test_fresh_positions_stand_for_their_families(assoc_pattern_set):
+    pats = assoc_pattern_set.patterns
+    reduced = Goal(frozenset({(pats[0].children[0], (1,))}), 0, ())
+    goals = [reduced] + [fresh_goal(pid, pat, (1,)) for pid, pat in enumerate(pats)]
+    goals.append(fresh_goal(0, pats[0], (2,)))  # half a family stays a goal
+    assert split_fresh(goals, pats) == ([reduced, goals[-1]], [(1,)])
+    classes = dependency_partition([reduced, (1,), (2,)])
+    assert classes == [[reduced, (1,)], [(2,)]]
+    assert lift_class(classes[1]) == ([()], (2,))
+    assert lift_class([(2, 1), (2, 2)]) == ([(1,), (2,)], (2,))
 
 
 def test_reachable_position_bound_examples():

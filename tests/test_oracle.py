@@ -92,6 +92,22 @@ def test_wildcard_density_extremes():
     assert all(all(c.symbol is None for c in p.children) for p in airy)
 
 
+def test_deep_random_pattern_without_recursion():
+    # no wildcards and only g/1 to choose from above the leaves: a chain of
+    # the full depth, ending in a wildcard for want of a constant
+    sig = profile_signature({1: 1})
+    depth = 10 ** 5
+    p = random_pattern(random.Random(0), sig, depth, wildcard_density=0.0)
+    assert term_depth(p) == depth and term_size(p) == depth + 1
+    assert contains_wildcard(p)
+
+
+def test_random_pattern_needs_a_constant_at_its_root():
+    sig = profile_signature({1: 1})
+    with pytest.raises(ValueError):
+        random_pattern(random.Random(0), sig, 0)
+
+
 def test_subject_hits_exact_size_with_unary_symbols():
     rng = random.Random(11)
     sig = profile_signature(DEFAULT_PROFILE)

@@ -152,6 +152,36 @@ def test_rejects_malformed_fresh_entry(nested_automaton, fresh, path):
     _expect_error(doc, path)
 
 
+@pytest.mark.parametrize("where, value, message", [
+    (("states", 3, "delta", "g", "outputs"), [{"pattern": 0, "pos": [1, 0]}],
+     "$.states[3].delta.g.outputs[0].pos: must be an array of positive integers"),
+    (("states", 1, "delta", "f", "targets"), [{"state": 0, "shift": []}, {"shift": []}],
+     "$.states[1].delta.f.targets[1]: missing field 'state'"),
+    (("states", 1, "delta", "f", "targets"), [{"state": 0, "shift": [True]}],
+     "$.states[1].delta.f.targets[0].shift: must be an array of positive integers"),
+    (("states", 2, "delta", "a"), [],
+     "$.states[2].delta.a: must be an object"),
+    (("states", 0, "delta", "g", "outputs"), {},
+     "$.states[0].delta.g.outputs: must be an array"),
+    (("states", 1, "goals"), [{"obligation": [{"term": "h(a)", "pos": [1]}],
+                                "announce": {"pattern": 0, "pos": []}}],
+     "$.states[1].goals[0].obligation[0].term: unparseable term"),
+    (("states", 1, "goals"), [{"obligation": [{"term": "a", "pos": [1]}],
+                                "announce": {"pattern": 3, "pos": []}}],
+     "$.states[1].goals[0].announce.pattern: unknown pattern id"),
+])
+def test_rejects_nested_entries_with_their_exact_path(nested_automaton, where,
+                                                      value, message):
+    doc = _doc(nested_automaton)
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with pytest.raises(FormatError) as e:
+        from_json(json.dumps(doc))
+    assert str(e.value).startswith(message), str(e.value)
+
+
 def test_rejects_fresh_without_goals(nested_automaton):
     doc = _doc(nested_automaton)
     del doc["states"][1]["goals"]

@@ -117,6 +117,63 @@ def test_parse_deep_nesting_without_recursion(sig_fga):
     assert t.symbol.name == "a" and t.children == ()
 
 
+def _chain(sig, depth, leaf):
+    """``g(g(...g(leaf)...))`` with ``depth`` g's, built without recursion."""
+    g = sig.symbol("g")
+    t = leaf
+    for _ in range(depth):
+        t = Term(g, (t,))
+    return t
+
+
+DEEP = 10 ** 5
+
+
+def test_format_deep_term_without_recursion(sig_fga):
+    t = _chain(sig_fga, DEEP, Term(sig_fga.symbol("a")))
+    assert format_term(t) == "g(" * DEEP + "a" + ")" * DEEP
+    assert format_term(t) is format_term(t)  # cached
+
+
+def test_format_reuses_cached_subterm_text(sig_fga):
+    inner = parse_term("f(a,g(_))", sig_fga, allow_wildcard=True)
+    assert format_term(inner) == "f(a,g(_))"
+    outer = Term(sig_fga.symbol("f"), (inner, WILDCARD))
+    assert format_term(outer) == "f(f(a,g(_)),_)"
+
+
+def test_size_and_depth_of_deep_term_without_recursion(sig_fga):
+    t = _chain(sig_fga, DEEP, Term(sig_fga.symbol("a")))
+    assert term_size(t) == DEEP + 1
+    assert term_depth(t) == DEEP
+    f = sig_fga.symbol("f")
+    wide = Term(f, (t, Term(f, (WILDCARD, WILDCARD))))
+    assert term_size(wide) == DEEP + 5
+    assert term_depth(wide) == DEEP + 1
+
+
+def test_contains_wildcard_in_deep_term_without_recursion(sig_fga):
+    assert contains_wildcard(_chain(sig_fga, DEEP, WILDCARD))
+    assert not contains_wildcard(_chain(sig_fga, DEEP, Term(sig_fga.symbol("a"))))
+
+
+def test_deep_pattern_is_checked_against_the_signature(sig_fga):
+    ps = PatternSet([_chain(sig_fga, DEEP, WILDCARD)], sig_fga)
+    assert len(ps) == 1
+    narrow = Signature((("g", 1),))
+    with pytest.raises(PatternSetError, match="'a/0' is not in the signature"):
+        PatternSet([_chain(sig_fga, DEEP, Term(sig_fga.symbol("a")))], narrow)
+
+
+def test_signature_check_reports_the_first_symbol_in_preorder(sig_fga):
+    # both h/1 and b/0 are missing; the outer one is named
+    sig = Signature((("f", 2), ("h", 1), ("b", 0)))
+    t = parse_term("f(h(b),_)", sig, allow_wildcard=True)
+    narrow = Signature((("f", 2),))
+    with pytest.raises(PatternSetError, match="'h/1'"):
+        PatternSet([t], narrow)
+
+
 def test_parse_extends_signature_when_asked():
     sig = Signature()
     t = parse_term("f(g(a),b)", sig, extend=True)
