@@ -276,16 +276,58 @@ PINNED_DOCUMENTS = {
 }
 
 
+def _pinned_pattern_set(request, name):
+    if name in ("nested", "assoc"):
+        return request.getfixturevalue(f"{name}_pattern_set")
+    if name == "shared shift":  # two targets of one transition share a shift
+        return PatternSet.from_text("f(a,_)\nf(_,b)\n")
+    ps, _ = random_instance(name, pattern_count=6)
+    return ps
+
+
 @pytest.mark.parametrize("name, strategy", sorted(PINNED_DOCUMENTS, key=str))
 def test_compiled_documents_are_pinned(request, name, strategy):
-    if name in ("nested", "assoc"):
-        ps = request.getfixturevalue(f"{name}_pattern_set")
-    elif name == "shared shift":  # two targets of one transition share a shift
-        ps = PatternSet.from_text("f(a,_)\nf(_,b)\n")
-    else:
-        ps, _ = random_instance(name, pattern_count=6)
-    text = to_json(build(ps, strategy))
+    text = to_json(build(_pinned_pattern_set(request, name), strategy))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DOCUMENTS[name, strategy]
+
+
+def _structure_digest(a):
+    """SHA-256 over ``initial`` and each state's label, outputs and targets."""
+    h = hashlib.sha256(repr(a.initial).encode())
+    for st in a.states:
+        h.update(repr((st.label, [(name, tr.outputs, tr.targets)
+                                  for name, tr in st.delta.items()])).encode())
+    return h.hexdigest()
+
+
+# Digests of the built structure alone, independent of the document format,
+# so they hold across schema changes that re-record PINNED_DOCUMENTS.
+PINNED_STRUCTURES = {
+    ("nested", LEFTMOST): "643015c5d88098f69a4c85073f597e2c4d15dac72028edaa91acac2a0c029e81",
+    ("nested", RIGHTMOST): "e0d55c19983da28a8bce16aa95039411d1cc73161d8d5e0e96a481b5725f2ba4",
+    ("assoc", LEFTMOST): "4e4e203cadc32658dde000ed8e250c6a626dd241586537e99861b8db58d7dc02",
+    ("assoc", RIGHTMOST): "4e4e203cadc32658dde000ed8e250c6a626dd241586537e99861b8db58d7dc02",
+    ("shared shift", LEFTMOST): "734cae2d8c201026cea2421ff688a66b83ebcb8bf2d4854253e35cee27ac64fa",
+    ("shared shift", RIGHTMOST): "734cae2d8c201026cea2421ff688a66b83ebcb8bf2d4854253e35cee27ac64fa",
+    (0, LEFTMOST): "570e6e5c7605f3530739f68987060ac8619e1ae987efcb09f9980896eb918e2a",
+    (0, RIGHTMOST): "adb7b0c02f4022e4023c020086f6219c341830e7a2e69df608f47540922e2c6c",
+    (1, LEFTMOST): "45bd128d10c059bc14d0f47480303f8d664fc67d507ce8e7e5d5e21592d11300",
+    (1, RIGHTMOST): "45bd128d10c059bc14d0f47480303f8d664fc67d507ce8e7e5d5e21592d11300",
+    (2, LEFTMOST): "dd1e25a10d0978cc11ac66d40d4ccf651456e2e81cbf5c1bf7b155740e0bcf94",
+    (2, RIGHTMOST): "c063ebcd0761152c47c826a3914c4915c0970cf88c8cd7e8b0880cd0ccbaae18",
+    (3, LEFTMOST): "2bae405668cc308a79186d9e8a95bc2009adef1023d3e120532168f8147ec932",
+    (3, RIGHTMOST): "7bc754b2d769a21affeb1f20023781011f77ae9e2002690c8bfa193fd3b6d5d1",
+    (4, LEFTMOST): "eb046befbcfb07651820cd4596ca59ac324d18a2e2144069e2ac215e94bcc81f",
+    (4, RIGHTMOST): "eb046befbcfb07651820cd4596ca59ac324d18a2e2144069e2ac215e94bcc81f",
+    (5, LEFTMOST): "eb053d2557b1bccf339b86e6136d0e3785d1634e5b2bdc41f7b4e75ef45185a4",
+    (5, RIGHTMOST): "61d01f78127844f8e3ce76c19d9a80a8f63cd813ea1b800c7e70fa0891153412",
+}
+
+
+@pytest.mark.parametrize("name, strategy", sorted(PINNED_STRUCTURES, key=str))
+def test_compiled_structures_are_pinned(request, name, strategy):
+    a = build(_pinned_pattern_set(request, name), strategy)
+    assert _structure_digest(a) == PINNED_STRUCTURES[name, strategy]
 
 
 def _goal_by_goal(state, symbol, ps):

@@ -1,5 +1,6 @@
 """Ground-truth matcher and the seeded instance generators."""
 
+import hashlib
 import random
 
 import pytest
@@ -113,6 +114,24 @@ def test_subject_hits_exact_size_with_unary_symbols():
     sig = profile_signature(DEFAULT_PROFILE)
     for size in range(1, 41):
         assert term_size(random_subject(rng, sig, size)) == size
+
+
+# SHA-256 over subjects drawn for fixed seeds and sizes, then one more draw:
+# the benchmark builds its subjects with random_subject, so a rewrite must
+# keep every draw in the same order.
+PINNED_SUBJECTS = "0c8ca89aebff342b9b3c9b10b89ecd1b7aafc1860ab0b6de48edf63fc0e328fe"
+
+
+def test_subject_draws_are_pinned():
+    h = hashlib.sha256()
+    for profile in (None, {0: 1, 1: 1, 3: 1}):
+        sig = profile_signature(profile)
+        for seed in range(20):
+            rng = random.Random(seed)
+            for size in (1, 2, 7, 50, 300):
+                h.update(format_term(random_subject(rng, sig, size)).encode() + b"\n")
+            h.update(repr(rng.random()).encode())
+    assert h.hexdigest() == PINNED_SUBJECTS
 
 
 def test_subject_needs_a_constant():
