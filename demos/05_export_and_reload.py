@@ -2,15 +2,16 @@
 """Serialize an automaton to JSON, reload it, and render it as DOT.
 
 Compilation is the expensive step, so the JSON form lets one process
-compile and many processes evaluate.  The DOT text pastes straight into
-Graphviz for inspection.
+compile and many processes evaluate.  The document holds no goal sets, so
+a reloaded automaton is checked by rebuilding it from its patterns and
+comparing.  The DOT text pastes straight into Graphviz for inspection.
 """
 
 import tempfile
 from pathlib import Path
 
 from setmatch import (PatternSet, build, evaluate, from_json, parse_term,
-                      to_dot, to_json)
+                      to_dot, to_json, verify_automaton)
 
 
 def main() -> None:
@@ -30,6 +31,8 @@ def main() -> None:
     assert evaluate(reloaded, subject).matches == evaluate(a, subject).matches
     assert to_json(reloaded) == payload
     print("reloaded automaton matches identically; round trip is byte-stable")
+    verify_automaton(reloaded)  # raises InvariantError if it differs from a rebuild
+    print("reloaded automaton agrees with a rebuild from its patterns")
 
     print("\nDOT rendering:")
     print(to_dot(a))

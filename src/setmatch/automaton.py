@@ -46,7 +46,7 @@ class Transition:
 @dataclass
 class State:
     label: Position
-    goals: tuple[Goal, ...] | None  # canonical order; None when loaded without debug info
+    goals: tuple[Goal, ...] | None  # canonical order; None in a loaded state
     delta: dict = field(default_factory=dict)  # symbol name -> Transition
 
 
@@ -54,6 +54,7 @@ class State:
 class SetAutomaton:
     signature: Signature
     patterns: PatternSet
+    label_strategy: str
     states: list[State]
     initial: int = 0
 
@@ -255,7 +256,8 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
             targets = tuple((intern(key), shift) for shift, key in entries)
             delta[symbol.name] = Transition(outputs=tuple(sorted(completed)),
                                             targets=targets)
-    return SetAutomaton(signature=sig, patterns=ps, states=states)
+    return SetAutomaton(signature=sig, patterns=ps, label_strategy=label_strategy,
+                        states=states)
 
 
 def reachable_position_bound(ps: PatternSet) -> set[Position]:
@@ -279,7 +281,12 @@ def reachable_position_bound(ps: PatternSet) -> set[Position]:
 
 
 def verify_automaton(a: SetAutomaton) -> None:
-    """Check every state's structural invariants; raise InvariantError.
+    """Check the automaton's structural invariants; raise InvariantError.
+
+    A loaded automaton holds no goals, so it is rebuilt from its patterns
+    and label strategy, the rebuild is checked, and the two must agree on
+    the initial state and on every label, output and target.  ``build`` is
+    deterministic, so any difference is a fault in the loaded automaton.
 
     Checked per state: a root goal exists; the label is one of a root
     goal's obligation positions; distinct obligation positions are pairwise
@@ -288,6 +295,36 @@ def verify_automaton(a: SetAutomaton) -> None:
     announcements prefix their obligations; transitions are total over the
     signature and reference valid states.
     """
+    if any(state.goals is None for state in a.states):
+        rebuilt = build(a.patterns, a.label_strategy)
+        _verify_goals(rebuilt)
+        _compare(a, rebuilt)
+    else:
+        _verify_goals(a)
+
+
+def _compare(a: SetAutomaton, rebuilt: SetAutomaton) -> None:
+    """Raise InvariantError at the first place ``a`` differs from ``rebuilt``."""
+    if a.initial != rebuilt.initial:
+        raise InvariantError(f"initial state {a.initial} differs from the "
+                             f"rebuilt {rebuilt.initial}")
+    for sid, (state, want) in enumerate(zip(a.states, rebuilt.states)):
+        if state.label != want.label:
+            raise InvariantError(
+                f"state {sid}: label {format_position(state.label)} differs from "
+                f"the rebuilt {format_position(want.label)}")
+        if state.delta != want.delta:
+            name = next(n for n in {**want.delta, **state.delta}
+                        if state.delta.get(n) != want.delta.get(n))
+            raise InvariantError(
+                f"state {sid}, symbol '{name}': {state.delta.get(name)} differs "
+                f"from the rebuilt {want.delta.get(name)}")
+    if len(a.states) != len(rebuilt.states):
+        raise InvariantError(f"{len(a.states)} states differ from the rebuilt "
+                             f"{len(rebuilt.states)}")
+
+
+def _verify_goals(a: SetAutomaton) -> None:
     bound = reachable_position_bound(a.patterns)
     pats = a.patterns.patterns
 
@@ -295,8 +332,6 @@ def verify_automaton(a: SetAutomaton) -> None:
         raise InvariantError(f"state {sid}: {msg}")
 
     for sid, state in enumerate(a.states):
-        if state.goals is None:
-            bad(sid, "no goal set to verify (loaded without debug goals?)")
         roots = [g for g in state.goals if g.is_root]
         if not roots:
             bad(sid, "no root goal")

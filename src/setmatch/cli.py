@@ -14,9 +14,10 @@ import sys
 import time
 from pathlib import Path
 
-from .automaton import LEFTMOST, RIGHTMOST, build, transition_count
+from .automaton import LEFTMOST, RIGHTMOST, build, transition_count, verify_automaton
 from .dot import to_dot
-from .errors import ParseError, PatternSetError, SetMatchError, SignatureError
+from .errors import (InvariantError, ParseError, PatternSetError, SetMatchError,
+                     SignatureError)
 from .evaluate import MAX_WORKERS, BreadthFirst, DepthFirst, Parallel, evaluate
 from .oracle import (brute_force_matches, comb_pattern_set, random_instance)
 from .positions import format_position
@@ -72,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true",
                    help="also print inspection and work item counts")
     p.add_argument("--verify", action="store_true",
-                   help="cross-check the result against the brute-force matcher")
+                   help="check the automaton against a rebuild from its patterns, "
+                        "and the result against the brute-force matcher")
     p.add_argument("--json", action="store_true", dest="as_json",
                    help="print matches as JSON instead of text lines")
     p.set_defaults(handler=_cmd_match)
@@ -134,6 +136,12 @@ def _cmd_compile(args) -> int:
 
 def _cmd_match(args) -> int:
     a = from_json(Path(args.automaton).read_text())
+    if args.verify:
+        try:
+            verify_automaton(a)
+        except InvariantError as e:
+            print(f"verification FAILED: {args.automaton}: {e}", file=sys.stderr)
+            return 1
     text = sys.stdin.read() if args.term == "-" else Path(args.term).read_text()
     try:
         subject = parse_term(text.strip(), a.signature)

@@ -108,24 +108,40 @@ def random_pattern_set(rng: random.Random, sig: Signature, count: int,
 
 
 def random_subject(rng: random.Random, sig: Signature, size: int) -> Term:
-    """A closed term with at most ``size`` nodes (exactly, when arities allow)."""
+    """A closed term with at most ``size`` nodes (exactly, when arities allow).
+
+    Each node draws its symbol and how its budget splits over its children,
+    then its children follow in preorder, the order a recursive generator
+    would draw them in.  The open nodes wait on a stack, so depth is
+    limited by memory only.
+    """
     constants = [s for s in sig if s.arity == 0]
     if not constants:
         raise ValueError("signature needs at least one constant for closed terms")
     growers = [s for s in sig if s.arity > 0]
-
-    def gen(budget):
-        if budget > 1 and growers:
-            usable = [s for s in growers if s.arity + 1 <= budget]
-            if usable:
-                sym = rng.choice(usable)
-                parts = [1] * sym.arity
-                for _ in range(budget - 1 - sym.arity):
-                    parts[rng.randrange(sym.arity)] += 1
-                return Term(sym, tuple(gen(b) for b in parts))
-        return Term(rng.choice(constants))
-
-    return gen(max(1, size))
+    open_nodes = []  # (symbol, its children's budgets, its children so far)
+    budget = max(1, size)
+    while True:
+        usable = [s for s in growers if s.arity < budget]
+        if usable:
+            sym = rng.choice(usable)
+            parts = [1] * sym.arity
+            for _ in range(budget - 1 - sym.arity):
+                parts[rng.randrange(sym.arity)] += 1
+            open_nodes.append((sym, parts, []))
+            budget = parts[0]
+            continue
+        term = Term(rng.choice(constants))
+        while open_nodes:
+            sym, parts, kids = open_nodes[-1]
+            kids.append(term)
+            if len(kids) < sym.arity:
+                budget = parts[len(kids)]
+                break
+            open_nodes.pop()
+            term = Term(sym, kids)
+        else:
+            return term
 
 
 def random_instance(seed: int, *, profile: dict[int, int] | None = None,

@@ -1,65 +1,54 @@
-"""JSON form of a compiled automaton (schema version 2).
+"""JSON form of a compiled automaton (schema version 3).
 
-The document is self-contained: signature, pattern texts, and per-state
-labels and transitions.  Goal sets are included by default so a reloaded
-automaton can be re-verified, but they are optional debug payload; an
-automaton without them still evaluates.
-
-A state's goals are stored without what can be derived: ``"fresh"`` lists
-the positions where the state holds the fresh goal of every pattern, and
-``"goals"`` lists every other goal in canonical order.  A partial fresh
-family is written out goal by goal, so the split is lossless for any state
-and a reloaded state's goals equal the built ones exactly.
+The document holds what matching needs and what rebuilding needs: the
+signature, the pattern texts, the label strategy, the initial state, and
+per state its label and transitions.  Goal sets are the compiler's working
+data and are not stored, so a loaded state has ``goals=None``.  Because
+:func:`~setmatch.automaton.build` is deterministic, a loaded automaton is
+verified by rebuilding it from its patterns and label strategy and
+comparing the two (:func:`~setmatch.automaton.verify_automaton`).
 
 The text is compact JSON, deterministic, with a stable key order.
 ``from_json`` validates structure and cross-references with a JSON-path in
-every error message, parses each distinct term text once, and rejects
-documents of any other schema version, including version 1.
+every error message, rejects a label, output position or shift with a step
+above the signature's widest arity, and rejects documents of any other
+schema version.
 """
 
 import json
 
-from .automaton import SetAutomaton, State, Transition
+from .automaton import LEFTMOST, RIGHTMOST, SetAutomaton, State, Transition
 from .errors import FormatError, ParseError, PatternSetError, SignatureError
-from .goals import Goal, canonical_goals, fresh_goal, split_fresh
-from .terms import PatternSet, Signature, Term, format_term, parse_term
+from .terms import PatternSet, Signature, Term, parse_term
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
-def to_json(a: SetAutomaton, *, include_goals: bool = True) -> str:
-    patterns = a.patterns.patterns
-    states = []
-    for sid, st in enumerate(a.states):
-        entry = {"id": sid, "label": list(st.label)}
-        if include_goals and st.goals is not None:
-            others, fresh = split_fresh(st.goals, patterns)
-            entry["fresh"] = [list(p) for p in fresh]
-            entry["goals"] = [_goal_doc(g) for g in others]
-        entry["delta"] = {
-            name: {
-                "outputs": [{"pattern": pid, "pos": list(pos)} for pid, pos in tr.outputs],
-                "targets": [{"state": tid, "shift": list(shift)} for tid, shift in tr.targets],
-            }
-            for name, tr in st.delta.items()
+def to_json(a: SetAutomaton) -> str:
+    states = [
+        {
+            "id": sid,
+            "label": list(st.label),
+            "delta": {
+                name: {
+                    "outputs": [{"pattern": pid, "pos": list(pos)} for pid, pos in tr.outputs],
+                    "targets": [{"state": tid, "shift": list(shift)}
+                                for tid, shift in tr.targets],
+                }
+                for name, tr in st.delta.items()
+            },
         }
-        states.append(entry)
+        for sid, st in enumerate(a.states)
+    ]
     doc = {
         "version": SCHEMA_VERSION,
         "signature": [{"name": s.name, "arity": s.arity} for s in a.signature],
         "patterns": a.patterns.texts(),
+        "label_strategy": a.label_strategy,
         "initial": a.initial,
         "states": states,
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
-
-
-def _goal_doc(g: Goal) -> dict:
-    pairs = sorted((pos, format_term(term)) for term, pos in g.obligation)
-    return {
-        "obligation": [{"term": text, "pos": list(pos)} for pos, text in pairs],
-        "announce": {"pattern": g.pattern, "pos": list(g.announce)},
-    }
 
 
 def from_json(text: str) -> SetAutomaton:
@@ -94,16 +83,19 @@ def from_json(text: str) -> SetAutomaton:
     raw_pats = _field(doc, "patterns", "$")
     _need(isinstance(raw_pats, list) and raw_pats, "$.patterns",
           "must be a non-empty array")
-    parsed: dict[str, Term] = {}  # one Term per distinct text; terms are immutable
     terms = []
     for i, text_i in enumerate(raw_pats):
         path = f"$.patterns[{i}]"
         _need(isinstance(text_i, str), path, "must be a string")
-        terms.append(_term(text_i, sig, parsed, "unparseable pattern", path))
+        terms.append(_term(text_i, sig, path))
     try:
         patterns = PatternSet(terms, sig)
     except PatternSetError as e:
         raise FormatError(str(e), "$.patterns") from None
+
+    strategy = _field(doc, "label_strategy", "$")
+    _need(strategy in (LEFTMOST, RIGHTMOST), "$.label_strategy",
+          f"must be '{LEFTMOST}' or '{RIGHTMOST}'")
 
     raw_states = _field(doc, "states", "$")
     _need(isinstance(raw_states, list) and raw_states, "$.states",
@@ -116,6 +108,7 @@ def from_json(text: str) -> SetAutomaton:
 
     sym_names = [s.name for s in sig]
     n_patterns = len(terms)
+    width = sig.max_arity
     states: list[State] = []
     for i, entry in enumerate(raw_states):
         path = f"$.states[{i}]"
@@ -123,39 +116,24 @@ def from_json(text: str) -> SetAutomaton:
         sid = _field(entry, "id", path)
         _need(_is_int(sid) and sid == i, path + ".id",
               f"state ids must be dense and ascending (expected {i})")
-        label = _position(_field(entry, "label", path), path + ".label")
-
-        goals = None
-        if "goals" in entry or "fresh" in entry:
-            raw_goals = _list(_field(entry, "goals", path), path + ".goals")
-            goals = []
-            for j, doc_g in enumerate(raw_goals):
-                g = _goal(doc_g, sig, n_patterns, parsed)
-                goals.append(g if g is not None else _checked_goal(
-                    doc_g, f"{path}.goals[{j}]", sig, n_patterns, parsed))
-            for j, at in enumerate(_list(_field(entry, "fresh", path), path + ".fresh")):
-                if not _is_position(at):
-                    _position(at, f"{path}.fresh[{j}]")  # raises, with the path
-                at = tuple(at)
-                goals.extend(fresh_goal(pid, pat, at) for pid, pat in enumerate(terms))
-            goals = canonical_goals(set(goals))
-
+        label = _position(_field(entry, "label", path), path + ".label", width)
         raw_delta = _field(entry, "delta", path)
-        delta = _transitions(raw_delta, sym_names, n_patterns, n_states)
+        delta = _transitions(raw_delta, sym_names, n_patterns, n_states, width)
         if delta is None:
-            delta = _checked_transitions(raw_delta, path, sym_names, n_patterns, n_states)
-        states.append(State(label=label, goals=goals, delta=delta))
+            delta = _checked_transitions(raw_delta, path, sym_names, n_patterns,
+                                         n_states, width)
+        states.append(State(label=label, goals=None, delta=delta))
 
-    return SetAutomaton(signature=sig, patterns=patterns, states=states,
-                        initial=initial)
+    return SetAutomaton(signature=sig, patterns=patterns, label_strategy=strategy,
+                        states=states, initial=initial)
 
 
-# A state's goals and transitions are read first by a reader that formats
-# no JSON path and returns None at the first check that fails.  Only then
-# does the checked reader run: the same checks in the same order, with the
-# path of each value, raising at the first that fails.
+# A state's transitions are read first by a reader that formats no JSON
+# path and returns None at the first check that fails.  Only then does the
+# checked reader run: the same checks in the same order, with the path of
+# each value, raising at the first that fails.
 
-def _transitions(raw_delta, sym_names, n_patterns, n_states) -> dict | None:
+def _transitions(raw_delta, sym_names, n_patterns, n_states, width) -> dict | None:
     """The transitions of a well-formed ``delta`` object, else None."""
     if type(raw_delta) is not dict or len(raw_delta) != len(sym_names):
         return None
@@ -174,7 +152,8 @@ def _transitions(raw_delta, sym_names, n_patterns, n_states) -> dict | None:
                 return None
             pid = o.get("pattern")
             pos = o.get("pos")
-            if type(pid) is not int or not 0 <= pid < n_patterns or not _is_position(pos):
+            if (type(pid) is not int or not 0 <= pid < n_patterns
+                    or not _is_position(pos, width)):
                 return None
             outs.append((pid, tuple(pos)))
         tgts = []
@@ -183,14 +162,16 @@ def _transitions(raw_delta, sym_names, n_patterns, n_states) -> dict | None:
                 return None
             tid = t.get("state")
             shift = t.get("shift")
-            if type(tid) is not int or not 0 <= tid < n_states or not _is_position(shift):
+            if (type(tid) is not int or not 0 <= tid < n_states
+                    or not _is_position(shift, width)):
                 return None
             tgts.append((tid, tuple(shift)))
         delta[name] = Transition(outputs=tuple(outs), targets=tuple(tgts))
     return delta
 
 
-def _checked_transitions(raw_delta, path, sym_names, n_patterns, n_states) -> dict:
+def _checked_transitions(raw_delta, path, sym_names, n_patterns, n_states,
+                         width) -> dict:
     _need(isinstance(raw_delta, dict), path + ".delta", "must be an object")
     for name in raw_delta:
         _need(name in sym_names, f"{path}.delta.{name}",
@@ -209,7 +190,7 @@ def _checked_transitions(raw_delta, path, sym_names, n_patterns, n_states) -> di
             pid = _field(o, "pattern", opath)
             _need(_is_int(pid) and 0 <= pid < n_patterns,
                   opath + ".pattern", "unknown pattern id")
-            outs.append((pid, _position(_field(o, "pos", opath), opath + ".pos")))
+            outs.append((pid, _position(_field(o, "pos", opath), opath + ".pos", width)))
         tgts = []
         for j, t in enumerate(_list(_field(tr, "targets", dpath), dpath + ".targets")):
             tpath = f"{dpath}.targets[{j}]"
@@ -217,73 +198,17 @@ def _checked_transitions(raw_delta, path, sym_names, n_patterns, n_states) -> di
             tid = _field(t, "state", tpath)
             _need(_is_int(tid) and 0 <= tid < n_states,
                   tpath + ".state", f"unknown state id {tid!r}")
-            tgts.append((tid, _position(_field(t, "shift", tpath), tpath + ".shift")))
+            tgts.append((tid, _position(_field(t, "shift", tpath), tpath + ".shift",
+                                        width)))
         delta[name] = Transition(outputs=tuple(outs), targets=tuple(tgts))
     return delta
 
 
-def _goal(doc_g, sig, n_patterns, parsed) -> Goal | None:
-    """The goal a well-formed goal entry describes, else None."""
-    if type(doc_g) is not dict:
-        return None
-    raw_ob = doc_g.get("obligation")
-    ann = doc_g.get("announce")
-    if type(raw_ob) is not list or not raw_ob or type(ann) is not dict:
-        return None
-    pairs = []
-    for pair in raw_ob:
-        if type(pair) is not dict:
-            return None
-        text = pair.get("term")
-        pos = pair.get("pos")
-        if type(text) is not str or not _is_position(pos):
-            return None
-        term = parsed.get(text)
-        if term is None:
-            try:
-                term = parse_term(text, sig, allow_wildcard=True, extend=False)
-            except ParseError:
-                return None
-            parsed[text] = term
-        pairs.append((term, tuple(pos)))
-    pid = ann.get("pattern")
-    pos = ann.get("pos")
-    if type(pid) is not int or not 0 <= pid < n_patterns or not _is_position(pos):
-        return None
-    return Goal(frozenset(pairs), pid, tuple(pos))
-
-
-def _checked_goal(doc_g, path, sig, n_patterns, parsed) -> Goal:
-    _need(isinstance(doc_g, dict), path, "must be an object")
-    raw_ob = _list(_field(doc_g, "obligation", path), path + ".obligation")
-    _need(len(raw_ob) > 0, path + ".obligation", "must be non-empty")
-    pairs = []
-    for j, pair in enumerate(raw_ob):
-        ppath = f"{path}.obligation[{j}]"
-        _need(isinstance(pair, dict), ppath, "must be an object")
-        text = _field(pair, "term", ppath)
-        _need(isinstance(text, str), ppath + ".term", "must be a string")
-        term = _term(text, sig, parsed, "unparseable term", ppath + ".term")
-        pairs.append((term, _position(_field(pair, "pos", ppath), ppath + ".pos")))
-    ann = _field(doc_g, "announce", path)
-    _need(isinstance(ann, dict), path + ".announce", "must be an object")
-    pid = _field(ann, "pattern", path + ".announce")
-    _need(_is_int(pid) and 0 <= pid < n_patterns,
-          path + ".announce.pattern", "unknown pattern id")
-    pos = _position(_field(ann, "pos", path + ".announce"), path + ".announce.pos")
-    return Goal(frozenset(pairs), pid, pos)
-
-
-def _term(text, sig, parsed, what, path) -> Term:
-    """``parse_term`` memoised on the text within one document."""
-    term = parsed.get(text)
-    if term is None:
-        try:
-            term = parse_term(text, sig, allow_wildcard=True, extend=False)
-        except ParseError as e:
-            raise FormatError(f"{what}: {e}", path) from None
-        parsed[text] = term
-    return term
+def _term(text, sig, path) -> Term:
+    try:
+        return parse_term(text, sig, allow_wildcard=True, extend=False)
+    except ParseError as e:
+        raise FormatError(f"unparseable pattern: {e}", path) from None
 
 
 def _is_int(value) -> bool:
@@ -307,16 +232,20 @@ def _list(value, path):
     return value
 
 
-def _is_position(value) -> bool:
-    """A JSON array of positive integers."""
+def _is_position(value, width) -> bool:
+    """A JSON array of argument indices, each from 1 to ``width``."""
     if type(value) is not list:
         return False
     for x in value:
-        if type(x) is not int or x < 1:
+        if type(x) is not int or not 1 <= x <= width:
             return False
     return True
 
 
-def _position(value, path) -> tuple:
-    _need(_is_position(value), path, "must be an array of positive integers")
+def _position(value, path, width) -> tuple:
+    _need(isinstance(value, list) and all(_is_int(x) and x >= 1 for x in value),
+          path, "must be an array of positive integers")
+    for k, x in enumerate(value):
+        _need(x <= width, f"{path}[{k}]",
+              f"step {x} is above the signature's widest arity {width}")
     return tuple(value)

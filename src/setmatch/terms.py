@@ -58,13 +58,19 @@ class Term:
         return self._hash
 
     def __eq__(self, other):
+        """Structural equality; pairs still to compare wait on a stack, so
+        nesting depth is limited by memory only."""
         if self is other:
             return True
         if not isinstance(other, Term):
             return NotImplemented
-        if self._hash != other._hash or self.symbol != other.symbol:
-            return False
-        return self.children == other.children
+        pending = [(self, other)]
+        while pending:
+            s, o = pending.pop()
+            if s._hash != o._hash or s.symbol != o.symbol:
+                return False
+            pending.extend((x, y) for x, y in zip(s.children, o.children) if x is not y)
+        return True
 
     def __str__(self):
         return format_term(self)

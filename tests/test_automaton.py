@@ -251,28 +251,28 @@ def test_build_is_deterministic_in_process(nested_pattern_set):
     assert to_json(a1) == to_json(a2)
 
 
-# SHA-256 of to_json(build(ps, strategy)), recorded when build still stepped
-# every fresh goal one by one; interning on compact keys must not move a
-# state id, a target or a byte.
+# SHA-256 of to_json(build(ps, strategy)) in schema 3.  The document names
+# its label strategy, so the two strategies differ here even where they
+# build the same automaton; PINNED_STRUCTURES pins the automata themselves.
 PINNED_DOCUMENTS = {
-    ("nested", LEFTMOST): "7c272aa5c7da510372ad5791e052efa109a50a21aa673f61ceca4a5e85a97c14",
-    ("nested", RIGHTMOST): "2a3a62671942e6ebbad067b3e8119b251653b6933e78f9340350c27e00c43a9b",
-    ("assoc", LEFTMOST): "f696fde5009580ab977c0aada8b90288a123456fa6350bc8559cabd34e878694",
-    ("assoc", RIGHTMOST): "f696fde5009580ab977c0aada8b90288a123456fa6350bc8559cabd34e878694",
-    ("shared shift", LEFTMOST): "2d09bb38e82edd33addeba422a5d3ba9fcdc761533bdf777d3dcd4561954aa00",
-    ("shared shift", RIGHTMOST): "2d09bb38e82edd33addeba422a5d3ba9fcdc761533bdf777d3dcd4561954aa00",
-    (0, LEFTMOST): "a47ffde9cfb019a22d18b87d8efe65b22a37219a3b467d380759c0921412c106",
-    (0, RIGHTMOST): "5872e7d43f75a622e802988fd85b027516e2c70c33ba1a55674aa7f3ea2fd197",
-    (1, LEFTMOST): "2342fa4e9e61a253fc48e405993e60b3b14b46a03f4c55e145ba6a0b74fad8ac",
-    (1, RIGHTMOST): "2342fa4e9e61a253fc48e405993e60b3b14b46a03f4c55e145ba6a0b74fad8ac",
-    (2, LEFTMOST): "1f64850b665558aedc64e3d25f150fe4f4fda64a940ce56237d379ef35b9890c",
-    (2, RIGHTMOST): "dd6b864050af9f48c2787c74fe686c2ffb48cca890fecc764ac80671f87c4d21",
-    (3, LEFTMOST): "90aeb50228dd12d41e6ce0d5dfb1e92eb1e5e9d36ea46c11925c514eeb89d4b9",
-    (3, RIGHTMOST): "fcc368e54c2215b0e5e3ac4aa2fcf51095b1a6878af0f22ba2962bb1d704a3d5",
-    (4, LEFTMOST): "2bc9cf13a5cd194ea07a1140f2e6a5bc17ed4395cf1352c6d44db27e9e0e8545",
-    (4, RIGHTMOST): "2bc9cf13a5cd194ea07a1140f2e6a5bc17ed4395cf1352c6d44db27e9e0e8545",
-    (5, LEFTMOST): "948c7c9f9f8d0ecd97e7d327fdf7e0b0f18162301c7e52e577c0a7fee509994c",
-    (5, RIGHTMOST): "6b4d8a633e3a1f086720c561de3e027e080be0d8427ba6c5f75cd03dc46e5e1d",
+    ("nested", LEFTMOST): "976d993c7634dd927f8db0d7f083fe872e909954faec4b85897d86aca1902770",
+    ("nested", RIGHTMOST): "a0add4c9387e6e584bf0e6ebc6f7191158899ae8d2f6430a2764570572f01af0",
+    ("assoc", LEFTMOST): "cbee89bae54dd2e75c4666e08b77c2071a60c183e4cca0b3c99d4dac35c311f2",
+    ("assoc", RIGHTMOST): "79ecfefefe771d4910030f4aa015889bc042b400560abca2db2ddea62db929cf",
+    ("shared shift", LEFTMOST): "e5ea0a7022fa15ea142130017402e3635370c6ff50dcfef5007a2e8e098ddb88",
+    ("shared shift", RIGHTMOST): "61a1f4fc4730b459998dcaf5215fc0ba2620c9bfd5c6a1f81d9196d2a4e3dd02",
+    (0, LEFTMOST): "e6c4807dc21243e45990ce3553d2e1f22973be8944fb764fdef6605eb8dd0107",
+    (0, RIGHTMOST): "bd50d046ec9b584bbe904afdeb146cf88cde18b039d41943d28b430164e03295",
+    (1, LEFTMOST): "374f85ff028af9ec60fbfb807cb02100f307cbc975c3a6e3010e883f1ae27315",
+    (1, RIGHTMOST): "356a5ab5ad94f4df103da665d3eb1740569b52bd8249e365f38ca5785a3b1aa4",
+    (2, LEFTMOST): "92be6a62d1acc63f1cd32650842812b4e37565896a68fbabe6327653725cf9bf",
+    (2, RIGHTMOST): "b7b1b9f1098c45f61f2449ca20a6ce8dd0ada82fbf642c51acbfb0bfbfc13ca8",
+    (3, LEFTMOST): "da407c0659d1078612d64c6ad7b25a29db8c3cdbe78073ad0592e0517b1d3488",
+    (3, RIGHTMOST): "f3877a960c50aa6b38cfec7fc8826d0b27e1a9e380f072a9f5a6941e2d2c8e60",
+    (4, LEFTMOST): "18496755f45e62471209f2169ab717e35ba84f5e7c76044f7003f3b732f52a23",
+    (4, RIGHTMOST): "060c5514abd36ad5dab525f3feedc388bb68dd249962c6b333c6d283ee26ade7",
+    (5, LEFTMOST): "373c05b36c25dd8e512c71195817d68dcd604729cab3f12d2cb742d7edde2cf9",
+    (5, RIGHTMOST): "25820e8dbe54e84da70e892785bed20b702494119621e086eb9747df8f6a76b8",
 }
 
 
@@ -429,7 +429,7 @@ def test_verify_rejects_dropped_fresh_goal(nested_pattern_set):
     a = build(nested_pattern_set)
     s = a.states[1]
     s.goals = tuple(g for g in s.goals if not (g.is_fresh and g.announce == (1,)))
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="missing fresh goal"):
         verify_automaton(a)
 
 

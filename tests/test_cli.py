@@ -158,6 +158,27 @@ def test_match_verify_catches_a_corrupt_automaton(compiled, tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().err
 
 
+def test_match_verify_checks_the_automaton_by_rebuilding_it(compiled, tmp_path,
+                                                          capsys):
+    auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
+    term = _write_term(tmp_path, "a")  # no match, so brute force agrees
+    capsys.readouterr()
+    rc = main(["match", "--automaton", str(auto), "--term", str(term), "--verify"])
+    assert rc == 0
+    assert "verified" in capsys.readouterr().err
+    doc = json.loads(auto.read_text())
+    doc["states"][1]["label"] = [2]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["match", "--automaton", str(bad), "--term", str(term), "--verify"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("verification FAILED: ")
+    assert "state 1: label 2 differs" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_match_rejects_foreign_symbol(compiled, tmp_path, capsys):
     auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
     term = _write_term(tmp_path, "f(b, a)")
@@ -215,11 +236,11 @@ def test_match_stats_on_a_very_deep_unary_chain(compiled, tmp_path, capsys):
 
 def test_match_reports_a_broken_automaton_in_one_line(compiled, tmp_path,
                                                        capsys):
-    # a hand-edited label that walks off every subject is an InvariantError
+    # a hand-edited label that walks off this subject is an InvariantError
     auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
     doc = json.loads(auto.read_text())
     for state in doc["states"]:
-        state["label"] = [9]
+        state["label"] = [2, 2, 2]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     term = _write_term(tmp_path, "f(a, a)")

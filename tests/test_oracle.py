@@ -134,6 +134,15 @@ def test_subject_draws_are_pinned():
     assert h.hexdigest() == PINNED_SUBJECTS
 
 
+def test_deep_random_subject_without_recursion():
+    # one unary symbol: a chain as deep as the size.  Splitting the budget
+    # draws once per node below, so the draws grow with the square of the
+    # depth; 2,000 levels are already twice the interpreter's recursion limit
+    sig = profile_signature({0: 1, 1: 1})
+    t = random_subject(random.Random(0), sig, 2000)
+    assert term_depth(t) == 1999 and term_size(t) == 2000
+
+
 def test_subject_needs_a_constant():
     sig = profile_signature({2: 1})
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""JSON round trips, schema validation, and build determinism."""
+"""JSON round trips, schema validation, verification by rebuild, and build
+determinism."""
 
 import json
 import os
@@ -23,27 +24,32 @@ def test_round_trip_is_byte_identical(nested_automaton):
 def test_round_trip_preserves_structure(assoc_automaton):
     b = from_json(to_json(assoc_automaton))
     a = assoc_automaton
-    assert b.initial == a.initial
+    assert (b.initial, b.label_strategy) == (a.initial, a.label_strategy)
     assert [s.label for s in b.states] == [s.label for s in a.states]
-    assert [set(s.goals) for s in b.states] == [set(s.goals) for s in a.states]
     for sa, sb in zip(a.states, b.states):
         assert sa.delta == sb.delta
 
 
 def test_round_trip_without_goals_still_evaluates(nested_automaton, sig_fga,
                                                   nested_subject):
-    text = to_json(nested_automaton, include_goals=False)
-    assert "goals" not in json.loads(text)["states"][0]
-    b = from_json(text)
+    b = from_json(to_json(nested_automaton))
     assert b.states[0].goals is None
     assert evaluate(b, nested_subject).matches \
         == evaluate(nested_automaton, nested_subject).matches
 
 
 def _reload_exactly(a):
+    """Load ``a``'s document, verify it, and rebuild it.
+
+    The document holds no goals; rebuilding from its patterns and label
+    strategy gives back every goal of ``a`` exactly, and the loaded
+    automaton writes every byte of the text back.
+    """
     text = to_json(a)
     b = from_json(text)
-    assert [s.goals for s in b.states] == [s.goals for s in a.states]
+    verify_automaton(b)
+    rebuilt = build(b.patterns, b.label_strategy)
+    assert [s.goals for s in rebuilt.states] == [s.goals for s in a.states]
     assert to_json(b) == text
     return b
 
@@ -59,62 +65,19 @@ def test_round_trip_keeps_goals_of_random_pattern_sets(seed):
     _reload_exactly(build(ps))
 
 
-def test_fresh_families_are_stored_as_positions(assoc_automaton):
-    n = len(assoc_automaton.patterns.patterns)
+def test_documents_hold_no_goals(assoc_automaton):
     doc = _doc(assoc_automaton)
-    assert doc["version"] == SCHEMA_VERSION == 2
-    assert any(entry["fresh"] for entry in doc["states"])
-    for state, entry in zip(assoc_automaton.states, doc["states"]):
-        assert len(state.goals) == len(entry["goals"]) + n * len(entry["fresh"])
-        assert entry["fresh"] == sorted(entry["fresh"])
-        for g in entry["goals"]:
-            ob = g["obligation"]
-            assert not (len(ob) == 1 and ob[0]["pos"] == g["announce"]["pos"]
-                        and ob[0]["pos"] in entry["fresh"])
+    assert doc["version"] == SCHEMA_VERSION == 3
+    assert list(doc) == ["version", "signature", "patterns", "label_strategy",
+                         "initial", "states"]
+    assert all(list(entry) == ["id", "label", "delta"] for entry in doc["states"])
+    assert all(s.goals is None for s in from_json(json.dumps(doc)).states)
 
 
 def test_text_is_compact():
     ps, _ = random_instance(3, pattern_count=5, pattern_depth=3)
     text = to_json(build(ps))
     assert text.count("\n") == 1 and ", " not in text and ": " not in text
-
-
-def test_dropped_fresh_goal_survives_the_round_trip(nested_pattern_set):
-    a = build(nested_pattern_set)
-    s = a.states[1]
-    s.goals = tuple(g for g in s.goals if not (g.is_fresh and g.announce == (1,)))
-    b = _reload_exactly(a)
-    with pytest.raises(InvariantError):
-        verify_automaton(b)
-
-
-def test_partial_fresh_family_is_written_goal_by_goal(assoc_pattern_set):
-    a = build(assoc_pattern_set)
-    sid, s = next((i, s) for i, s in enumerate(a.states)
-                  if any(g.is_fresh and g.announce for g in s.goals))
-    dropped = next(g for g in s.goals if g.is_fresh and g.announce)
-    s.goals = tuple(g for g in s.goals if g != dropped)
-    entry = _doc(a)["states"][sid]
-    assert list(dropped.announce) not in entry["fresh"]
-    assert any(g["announce"]["pos"] == list(dropped.announce)
-               and g["obligation"][0]["pos"] == list(dropped.announce)
-               for g in entry["goals"])
-    b = _reload_exactly(a)
-    with pytest.raises(InvariantError, match="missing fresh goal"):
-        verify_automaton(b)
-
-
-def test_goal_that_only_looks_fresh_stays_explicit(nested_automaton):
-    # a lone obligation at its announcement that is not the pattern itself
-    # is not part of a fresh family, even where that family is complete
-    doc = _doc(nested_automaton)
-    assert [1] in doc["states"][1]["fresh"]
-    doc["states"][1]["goals"].append({
-        "obligation": [{"term": "g(_)", "pos": [1]}],
-        "announce": {"pattern": 0, "pos": [1]}})
-    b = from_json(json.dumps(doc))
-    assert len(b.states[1].goals) == len(nested_automaton.states[1].goals) + 1
-    _reload_exactly(b)
 
 
 def test_each_distinct_term_text_is_parsed_once(monkeypatch, assoc_automaton):
@@ -125,31 +88,27 @@ def test_each_distinct_term_text_is_parsed_once(monkeypatch, assoc_automaton):
         return parse_term(text, *args, **kwargs)
 
     monkeypatch.setattr(setmatch.serialization, "parse_term", parse)
-    doc = _doc(assoc_automaton)
-    from_json(json.dumps(doc))
-    obligations = [pair["term"] for entry in doc["states"]
-                   for g in entry["goals"] for pair in g["obligation"]]
-    assert len(obligations) > len(set(obligations))
-    assert sorted(texts) == sorted(set(doc["patterns"] + obligations))
+    text = to_json(assoc_automaton)
+    from_json(text)
+    # the patterns are the only term texts a document holds
+    assert texts == json.loads(text)["patterns"]
 
 
 def test_rejects_version_1_and_asks_to_recompile(nested_automaton):
     doc = _doc(nested_automaton)
-    doc["version"] = 1
-    _expect_error(doc, "$.version")
-    _expect_error(doc, "recompile")
+    for version in (1, 2):
+        doc["version"] = version
+        _expect_error(doc, "$.version")
+        _expect_error(doc, "recompile")
 
 
-@pytest.mark.parametrize("fresh, path", [
-    ([[0]], "$.states[1].fresh[0]"),
-    ([["1"]], "$.states[1].fresh[0]"),
-    ([[1], True], "$.states[1].fresh[1]"),
-    ({"pos": [1]}, "$.states[1].fresh"),
-])
-def test_rejects_malformed_fresh_entry(nested_automaton, fresh, path):
+@pytest.mark.parametrize("strategy", [None, "sideways", ["rightmost"]])
+def test_rejects_unknown_label_strategy(nested_automaton, strategy):
     doc = _doc(nested_automaton)
-    doc["states"][1]["fresh"] = fresh
-    _expect_error(doc, path)
+    doc["label_strategy"] = strategy
+    _expect_error(doc, "$.label_strategy: must be")
+    del doc["label_strategy"]
+    _expect_error(doc, "missing field 'label_strategy'")
 
 
 @pytest.mark.parametrize("where, value, message", [
@@ -163,12 +122,15 @@ def test_rejects_malformed_fresh_entry(nested_automaton, fresh, path):
      "$.states[2].delta.a: must be an object"),
     (("states", 0, "delta", "g", "outputs"), {},
      "$.states[0].delta.g.outputs: must be an array"),
-    (("states", 1, "goals"), [{"obligation": [{"term": "h(a)", "pos": [1]}],
-                                "announce": {"pattern": 0, "pos": []}}],
-     "$.states[1].goals[0].obligation[0].term: unparseable term"),
-    (("states", 1, "goals"), [{"obligation": [{"term": "a", "pos": [1]}],
-                                "announce": {"pattern": 3, "pos": []}}],
-     "$.states[1].goals[0].announce.pattern: unknown pattern id"),
+    # a step above the widest arity (2) would walk off every subject
+    (("states", 1, "label"), [9],
+     "$.states[1].label[0]: step 9 is above the signature's widest arity 2"),
+    (("states", 1, "delta", "g", "outputs"), [{"pattern": 0, "pos": [2, 3]}],
+     "$.states[1].delta.g.outputs[0].pos[1]: step 3 is above the signature's "
+     "widest arity 2"),
+    (("states", 0, "delta", "f", "targets"), [{"state": 1, "shift": [1, 1, 7]}],
+     "$.states[0].delta.f.targets[0].shift[2]: step 7 is above the signature's "
+     "widest arity 2"),
 ])
 def test_rejects_nested_entries_with_their_exact_path(nested_automaton, where,
                                                       value, message):
@@ -180,12 +142,6 @@ def test_rejects_nested_entries_with_their_exact_path(nested_automaton, where,
     with pytest.raises(FormatError) as e:
         from_json(json.dumps(doc))
     assert str(e.value).startswith(message), str(e.value)
-
-
-def test_rejects_fresh_without_goals(nested_automaton):
-    doc = _doc(nested_automaton)
-    del doc["states"][1]["goals"]
-    _expect_error(doc, "missing field 'goals'")
 
 
 def test_rejects_bool_initial(nested_automaton):
@@ -273,6 +229,43 @@ def test_rejects_bool_arity(nested_automaton):
     doc = _doc(nested_automaton)
     doc["signature"][0]["arity"] = True
     _expect_error(doc, "arity")
+
+
+def _relabel(doc):
+    doc["states"][1]["label"] = [1]
+
+
+def _swap_targets(doc):
+    delta = doc["states"][0]["delta"]
+    f, g = delta["f"]["targets"][0], delta["g"]["targets"][0]
+    assert f["state"] != g["state"]
+    f["state"], g["state"] = g["state"], f["state"]
+
+
+def _drop_output(doc):
+    tr = next(tr for entry in doc["states"] for tr in entry["delta"].values()
+              if tr["outputs"])
+    tr["outputs"].pop()
+
+
+def _flip_strategy(doc):
+    # nested compiles to 4 states rightmost and 6 leftmost
+    doc["label_strategy"] = "leftmost"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_relabel, "state 1: label 1 differs from the rebuilt 2"),
+    (_swap_targets, "state 0, symbol 'f': "),
+    (_drop_output, r"state \d+, symbol '\w+': Transition\(outputs=\(\)"),
+    (_flip_strategy, "state 1: label 2 differs from the rebuilt 1"),
+], ids=["label", "target", "output", "strategy"])
+def test_verify_catches_a_hand_edit_after_load(nested_automaton, edit, message):
+    doc = _doc(nested_automaton)
+    verify_automaton(from_json(json.dumps(doc)))
+    edit(doc)
+    b = from_json(json.dumps(doc))
+    with pytest.raises(InvariantError, match=message):
+        verify_automaton(b)
 
 
 def test_signature_symbols_missing_from_patterns_survive():

@@ -135,6 +135,16 @@ def test_format_deep_term_without_recursion(sig_fga):
     assert format_term(t) is format_term(t)  # cached
 
 
+def test_equality_of_deep_terms_without_recursion(sig_fga):
+    a = Term(sig_fga.symbol("a"))
+    t, u = _chain(sig_fga, DEEP, a), _chain(sig_fga, DEEP, a)
+    assert t is not u and t == u
+    f = sig_fga.symbol("f")
+    assert Term(f, (t, a)) == Term(f, (u, a))
+    assert Term(f, (t, a)) != Term(f, (a, u))
+    assert t != _chain(sig_fga, DEEP, WILDCARD)
+
+
 def test_format_reuses_cached_subterm_text(sig_fga):
     inner = parse_term("f(a,g(_))", sig_fga, allow_wildcard=True)
     assert format_term(inner) == "f(a,g(_))"
