@@ -314,7 +314,7 @@ def _compare(a: SetAutomaton, rebuilt: SetAutomaton) -> None:
                 f"state {sid}: label {format_position(state.label)} differs from "
                 f"the rebuilt {format_position(want.label)}")
         if state.delta != want.delta:
-            name = next(n for n in {**want.delta, **state.delta}
+            name = next(n for n in [*want.delta, *state.delta]
                         if state.delta.get(n) != want.delta.get(n))
             raise InvariantError(
                 f"state {sid}, symbol '{name}': {state.delta.get(name)} differs "
