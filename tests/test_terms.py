@@ -1,5 +1,8 @@
 """Terms, signatures, parsing, printing, domains, and the match predicate."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given
 
@@ -95,17 +98,103 @@ def test_parse_unbalanced_parenthesis(sig_fga):
 
 def test_parse_error_offsets(sig_fga):
     cases = [
-        ("f(a,)", 4),       # empty argument
-        ("f(a,a),", 6),     # trailing input
-        ("", 0),            # nothing at all
-        ("f(zric,a)", 2),   # unknown symbol starts at offset 2
-        ("g(a,a)", 0),      # arity mismatch is reported at the symbol
-        ("_", 0),           # wildcard where forbidden
+        ("f(a,)", "unexpected character ')'", 4),     # empty argument
+        ("f(a,a),", "trailing input after term", 6),
+        ("a b", "trailing input after term", 2),
+        ("", "expected a term", 0),                   # nothing at all
+        ("f(a, ", "expected a term", 5),
+        ("f(zric,a)", "unknown symbol 'zric'", 2),    # at the symbol's start
+        ("g(a,a)", "'g' has arity 1, used with 2", 0),  # reported at the symbol
+        ("g", "'g' has arity 1, used with 0", 0),
+        ("_", "wildcard not allowed here", 0),
+        ("f(a a)", "expected ',' or ')'", 4),
+        ("f(a", "expected ',' or ')'", 3),
+        ("\u00e9", "unexpected character '\u00e9'", 0),
     ]
-    for text, offset in cases:
+    for text, reason, offset in cases:
         with pytest.raises(ParseError) as e:
             parse_term(text, sig_fga)
-        assert e.value.offset == offset, text
+        assert (e.value.reason, e.value.offset) == (reason, offset), text
+    wild = [
+        ("_(a)", "trailing input after term", 1),  # ``_`` takes no arguments
+        ("_ (a)", "trailing input after term", 2),
+        ("f(_(a),a)", "expected ',' or ')'", 3),
+    ]
+    for text, reason, offset in wild:
+        with pytest.raises(ParseError) as e:
+            parse_term(text, sig_fga, allow_wildcard=True)
+        assert (e.value.reason, e.value.offset) == (reason, offset), text
+
+
+# Single characters inserted into the pinned parser inputs: the syntax's
+# punctuation, the wildcard, ASCII and Unicode whitespace (an em space), and
+# a letter outside the name alphabet.
+PARSE_INSERTIONS = "(),_ \t\u2003\u00e9"
+PARSE_SEPARATORS = ("", "", "", "", " ", "\t", "\n", "\u2003")
+PARSE_SYMBOLS = (("f", 2), ("g", 1), ("a", 0), ("h", 3), ("b0", 0))
+
+
+def _random_term_text(rng, symbols, wildcards, depth):
+    """A random term over ``symbols``, written with random whitespace
+    between its tokens (before ``(`` too)."""
+    gap = lambda: rng.choice(PARSE_SEPARATORS)  # noqa: E731
+    if wildcards and depth < 3 and rng.random() < 0.3:
+        return "_"
+    name, arity = rng.choice([s for s in symbols if s[1] == 0] if depth == 0 else symbols)
+    if arity == 0:
+        return name
+    args = [gap() + _random_term_text(rng, symbols, wildcards, depth - 1) + gap()
+            for _ in range(arity)]
+    return name + gap() + "(" + ",".join(args) + ")"
+
+
+def _pinned_parse_texts():
+    """Hand-picked texts, then random subjects and patterns; each is followed
+    by every deletion, duplication and insertion of one character."""
+    rng = random.Random(7)
+    # x_y is used in the texts but declared only by ``extend``
+    symbols = PARSE_SYMBOLS + (("x_y", 1),)
+    bases = ["_(a)", "f(_(a),a)", "\u00e9", "", " ", "f (a,a)", "\n\n  f(a,\n",
+             "\u2003g(\u2003a)\u2003", "x_y(_x)", "f(a,_)"]
+    for k in range(100):
+        text = _random_term_text(rng, symbols, k % 2 == 1, rng.randint(0, 3))
+        bases.append(rng.choice(PARSE_SEPARATORS) + text + rng.choice(PARSE_SEPARATORS))
+    for text in bases:
+        yield text
+        for i in range(len(text)):
+            yield text[:i] + text[i + 1:]
+            yield text[:i + 1] + text[i:]
+        for i in range(len(text) + 1):
+            for ch in PARSE_INSERTIONS:
+                yield text[:i] + ch + text[i:]
+
+
+def _parse_outcome(text, allow_wildcard, extend) -> str:
+    """The printed term or the error's (reason, offset); with ``extend``, also
+    the signature as the parse left it."""
+    sig = Signature(PARSE_SYMBOLS)
+    try:
+        out = format_term(parse_term(text, sig, allow_wildcard=allow_wildcard,
+                                     extend=extend))
+    except ParseError as e:
+        out = repr((e.reason, e.offset))
+    return out + "|" + write_signature(sig) if extend else out
+
+
+PINNED_PARSE_OUTCOMES = (
+    42480, "d8693d2066633830e7ae01cac3e52738e61668361e3977c1224b688f8328b8bd")
+
+
+def test_parse_outcomes_are_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for text in _pinned_parse_texts():
+        for allow_wildcard in (False, True):
+            for extend in (False, True):
+                outcome = _parse_outcome(text, allow_wildcard, extend)
+                h.update(f"{text!r}\t{outcome}\n".encode())
+                count += 1
+    assert (count, h.hexdigest()) == PINNED_PARSE_OUTCOMES
 
 
 def test_parse_deep_nesting_without_recursion(sig_fga):
