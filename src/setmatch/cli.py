@@ -144,7 +144,7 @@ def _cmd_match(args) -> int:
             return 1
     text = sys.stdin.read() if args.term == "-" else Path(args.term).read_text()
     try:
-        subject = parse_term(text.strip(), a.signature)
+        subject = parse_term(text, a.signature)
     except ParseError as e:
         where = "stdin" if args.term == "-" else args.term
         print(f"error: {where}: {e}", file=sys.stderr)

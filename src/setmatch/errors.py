@@ -6,7 +6,8 @@ class SetMatchError(Exception):
 
 
 class ParseError(SetMatchError):
-    """Malformed term or pattern text; carries the byte offset of the fault."""
+    """Malformed term or pattern text; carries the offset of the fault, in
+    characters from the start of the text as written."""
 
     def __init__(self, message: str, offset: int, line: int | None = None):
         where = f"line {line}, offset {offset}" if line is not None else f"offset {offset}"

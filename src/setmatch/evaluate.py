@@ -112,7 +112,7 @@ def _drain(a, work, fifo, matches, log, until=sys.maxsize) -> int:
     root.  Returns the number of items processed.
     """
     states = a.states
-    known = a.signature.get
+    known = a.signature._by_name.get
     pop = work.popleft if fifo else work.pop
     push = work.append
     done = 0

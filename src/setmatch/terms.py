@@ -8,11 +8,13 @@ and a *subject* is a term containing no wildcard at all.
 
 Concrete syntax is ``name(child,child)`` with constants written without
 parentheses, e.g. ``f(g(a),_)``.  Whitespace is insignificant.  All parse
-errors carry the byte offset at which the input stopped making sense.
+errors carry the offset, in characters, at which the input stopped making
+sense.
 """
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import ParseError, PatternSetError, PositionError, SignatureError
 from .positions import Position, format_position
@@ -29,9 +31,11 @@ class Symbol:
 class Term:
     """An immutable ordered tree of symbols.
 
-    ``symbol`` is ``None`` exactly for the wildcard.  The hash is computed at
-    construction, so terms built from shared subtrees stay cheap to hash and
-    compare no matter how large they print.
+    ``symbol`` is ``None`` exactly for the wildcard.  The hash is computed on
+    first use and cached in the term and in every subterm it had to hash, so
+    a term that is never hashed, such as a subject, costs nothing for it,
+    and terms built from shared subtrees stay cheap to hash and compare no
+    matter how large they print.
     """
 
     __slots__ = ("symbol", "children", "_hash", "_text")
@@ -47,7 +51,7 @@ class Term:
                 f"got {len(children)} arguments")
         self.symbol = symbol
         self.children = children
-        self._hash = hash((symbol, children))
+        self._hash = None
         self._text = None
 
     @property
@@ -55,7 +59,22 @@ class Term:
         return self.symbol is None
 
     def __hash__(self):
-        return self._hash
+        """``hash((symbol, children))``.  Unhashed subterms are hashed first,
+        in post-order off a stack, so nesting depth is limited by memory
+        only."""
+        h = self._hash
+        if h is None:
+            stack = [self]
+            while stack:
+                node = stack[-1]
+                kids = [c for c in node.children if c._hash is None]
+                if kids:
+                    stack.extend(kids)
+                else:
+                    stack.pop()
+                    node._hash = hash((node.symbol, node.children))
+            h = self._hash
+        return h
 
     def __eq__(self, other):
         """Structural equality; pairs still to compare wait on a stack, so
@@ -67,7 +86,10 @@ class Term:
         pending = [(self, other)]
         while pending:
             s, o = pending.pop()
-            if s._hash != o._hash or s.symbol != o.symbol:
+            if s.symbol != o.symbol:
+                return False
+            hs, ho = s._hash, o._hash
+            if hs is not None and ho is not None and hs != ho:
                 return False
             pending.extend((x, y) for x, y in zip(s.children, o.children) if x is not y)
         return True
@@ -230,7 +252,8 @@ def write_signature(sig: Signature) -> str:
 
 
 _IDENT_RE = re.compile(r"[A-Za-z0-9_]+")
-_WS_RE = re.compile(r"\s*")
+# a name, or any other single character that is not whitespace
+_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|\S")
 
 
 def parse_term(text: str, sig: Signature, *, allow_wildcard: bool = False,
@@ -240,66 +263,90 @@ def parse_term(text: str, sig: Signature, *, allow_wildcard: bool = False,
     With ``extend`` unknown symbols are declared at the arity they are used,
     otherwise they are rejected.  Wildcards (``_``) are only accepted with
     ``allow_wildcard``.  Known symbols must be used at their declared arity.
-    The parser keeps its open argument lists on a stack, so nesting depth
-    is limited by memory only.
+    The text is split into tokens by one regular-expression scan; a walk
+    over the tokens keeps its open argument lists on a stack, so nesting
+    depth is limited by memory only.  A :class:`ParseError` carries the
+    offset in ``text`` of the token it stopped at, or ``len(text)`` at the
+    end of the input.
     """
-    skip = _WS_RE.match
-    ident = _IDENT_RE.match
-    end = len(text)
-    open_nodes = []  # (name, offset, children) of every unclosed argument list
-    pos = skip(text, 0).end()
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # end of input; no token is empty
+    known = sig._by_name.get
+    new = object.__new__
+    open_nodes = []  # (name, symbol or None, token index, children) of every unclosed list
+    k = 0
     while True:
-        if pos >= end:
-            raise ParseError("expected a term", pos)
-        m = ident(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        name = m.group()
-        if name == "_":
-            if not allow_wildcard:
-                raise ParseError("wildcard not allowed here", pos)
+        name = tokens[k]
+        sym = known(name)
+        if sym is None and (name == "_" or not _IDENT_RE.fullmatch(name)):
+            if name != "_" or not allow_wildcard:
+                raise _parse_error(text, k, _no_term(name))
             term = WILDCARD
-            pos = m.end()
+        elif tokens[k + 1] == "(":
+            open_nodes.append((name, sym, k, []))
+            k += 2
+            continue
+        elif sym is not None and not sym.arity:
+            # checked here already, so built without Term.__init__'s checks
+            term = new(Term)
+            term.symbol, term.children, term._hash, term._text = sym, (), None, None
         else:
-            start = pos
-            pos = skip(text, m.end()).end()
-            if pos < end and text[pos] == "(":
-                open_nodes.append((name, start, []))
-                pos = skip(text, pos + 1).end()
-                continue
-            term = _node(sig, name, start, (), extend)
+            term = _checked_node(text, sig, name, k, (), extend)
+        k += 1
         while open_nodes:
-            name, start, children = open_nodes[-1]
+            name, sym, start, children = open_nodes[-1]
             children.append(term)
-            pos = skip(text, pos).end()
-            ch = text[pos] if pos < end else None
-            if ch == ",":
-                pos = skip(text, pos + 1).end()
+            tok = tokens[k]
+            k += 1
+            if tok == ",":
                 break
-            if ch != ")":
-                raise ParseError("expected ',' or ')'", pos)
-            pos += 1
+            if tok != ")":
+                raise _parse_error(text, k - 1, "expected ',' or ')'")
             open_nodes.pop()
-            term = _node(sig, name, start, children, extend)
+            if sym is not None and sym.arity == len(children):
+                term = new(Term)
+                term.symbol, term.children, term._hash, term._text = \
+                    sym, tuple(children), None, None
+            else:
+                term = _checked_node(text, sig, name, start, children, extend)
         else:  # every argument list is closed: ``term`` is the whole input
-            pos = skip(text, pos).end()
-            if pos != end:
-                raise ParseError("trailing input after term", pos)
+            if tokens[k]:
+                raise _parse_error(text, k, "trailing input after term")
             return term
 
 
-def _node(sig, name, start, children, extend) -> Term:
-    """The term ``name(children)``; ``start`` is the offset of ``name``."""
+def _no_term(token: str) -> str:
+    """Why ``token`` cannot start a term."""
+    if not token:
+        return "expected a term"
+    if token == "_":
+        return "wildcard not allowed here"
+    return f"unexpected character {token!r}"
+
+
+def _checked_node(text, sig, name, start, children, extend) -> Term:
+    """The term ``name(children)``, checked against ``sig`` from scratch.
+
+    With ``extend`` an unknown name is declared at this arity; otherwise it
+    is an error, as is every arity mismatch, at token ``start``.
+    """
     arity = len(children)
     sym = sig.get(name)
     if sym is None:
         if not extend:
-            raise ParseError(f"unknown symbol '{name}'", start)
+            raise _parse_error(text, start, f"unknown symbol '{name}'")
         sym = sig.declare(name, arity)
     elif sym.arity != arity:
-        raise ParseError(
-            f"'{name}' has arity {sym.arity}, used with {arity}", start)
+        raise _parse_error(
+            text, start, f"'{name}' has arity {sym.arity}, used with {arity}")
     return Term(sym, children)
+
+
+def _parse_error(text: str, token: int, reason: str) -> ParseError:
+    """``reason`` at the offset of token number ``token`` of ``text``, or at
+    the end of ``text`` past its last token."""
+    m = next(islice(_TOKEN_RE.finditer(text), token, None), None)
+    return ParseError(reason, len(text) if m is None else m.start())
 
 
 def domain(t: Term) -> set[Position]:
@@ -331,18 +378,16 @@ def matches(pattern: Term, subject: Term, at: Position = ()) -> bool:
 
     A wildcard matches any subterm; every other pattern node must find its
     own symbol in the subject.  ``at`` must be a position of ``subject``.
+    Pairs still to compare wait on a stack, so nesting depth is limited by
+    memory only.
     """
-    return _match(pattern, subterm_at(subject, at))
-
-
-def _match(l: Term, t: Term) -> bool:
-    if l.symbol is None:
-        return True
-    if l.symbol != t.symbol:
-        return False
-    for lc, tc in zip(l.children, t.children):
-        if not _match(lc, tc):
-            return False
+    pending = [(pattern, subterm_at(subject, at))]
+    while pending:
+        l, t = pending.pop()
+        if l.symbol is not None:
+            if l.symbol != t.symbol:
+                return False
+            pending.extend(zip(l.children, t.children))
     return True
 
 
@@ -384,10 +429,10 @@ class PatternSet:
         sig = Signature() if extend else signature
         pats = []
         for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.split("#", 1)[0]
+            if not line.strip():
                 continue
-            try:
+            try:  # the line as written, so an error's offset counts from its start
                 pats.append(parse_term(line, sig, allow_wildcard=True, extend=extend))
             except ParseError as e:
                 raise ParseError(e.reason, e.offset, line=lineno) from None

@@ -194,6 +194,17 @@ def test_match_rejects_malformed_term(compiled, tmp_path, capsys):
     assert rc == 2
 
 
+def test_match_reports_the_offset_in_the_term_file_as_written(compiled, tmp_path,
+                                                              capsys):
+    auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
+    capsys.readouterr()
+    term = tmp_path / "subject.term"
+    term.write_text("\n\n  f(a,\n")
+    rc = main(["match", "--automaton", str(auto), "--term", str(term)])
+    assert rc == 2
+    assert "offset 9: expected a term" in capsys.readouterr().err
+
+
 def test_match_deep_term_from_file(compiled, tmp_path, capsys):
     # 3,000 nested f's: deeper than the interpreter's recursion limit
     auto = compiled("fa", "f(_, a)\n")

@@ -234,6 +234,24 @@ def test_equality_of_deep_terms_without_recursion(sig_fga):
     assert t != _chain(sig_fga, DEEP, WILDCARD)
 
 
+def test_hash_and_equality_of_deep_parsed_terms_without_recursion(sig_fga):
+    text = "g(" * DEEP + "a" + ")" * DEEP
+    t, u = parse_term(text, sig_fga), parse_term(text, sig_fga)
+    assert t is not u and hash(t) == hash(u) and t == u
+    assert len({t, u}) == 1
+    other = parse_term(text.replace("a", "_"), sig_fga, allow_wildcard=True)
+    assert hash(other) != hash(t) and other != t
+
+
+@given(pattern_terms())
+def test_hash_is_the_hash_of_symbol_and_children_at_every_node(t):
+    # fresh terms are unhashed: hash an inner node first, then the root
+    nodes = [subterm_at(t, p) for p in sorted(domain(t))]
+    hash(nodes[-1])
+    for node in nodes:
+        assert hash(node) == hash((node.symbol, node.children))
+
+
 def test_format_reuses_cached_subterm_text(sig_fga):
     inner = parse_term("f(a,g(_))", sig_fga, allow_wildcard=True)
     assert format_term(inner) == "f(a,g(_))"
@@ -331,6 +349,15 @@ def test_matches_examples(assoc_subject, assoc_signature):
     assert not matches(l1, subterm_at(assoc_subject, (2,)), ())
 
 
+def test_matches_deep_pattern_without_recursion(sig_fga):
+    a = Term(sig_fga.symbol("a"))
+    pattern, subject = _chain(sig_fga, DEEP, WILDCARD), _chain(sig_fga, DEEP, a)
+    assert matches(pattern, subject, ())
+    assert not matches(pattern, subject, (1,))  # the subject runs out of g's
+    assert matches(_chain(sig_fga, DEEP, a), subject, ())
+    assert not matches(_chain(sig_fga, DEEP - 1, a), subject, ())
+
+
 def _structural_match(pattern, subject):
     """Independent matcher: plain recursion, no positions."""
     if pattern.symbol is None:
@@ -381,6 +408,13 @@ def test_pattern_set_from_text_reports_line(sig_fga):
     with pytest.raises(ParseError) as e:
         PatternSet.from_text("f(a,a)\n# fine\ng(a,a)\n", sig_fga)
     assert e.value.line == 3
+
+
+def test_pattern_set_from_text_offsets_count_from_the_line_as_written(sig_fga):
+    with pytest.raises(ParseError) as e:
+        PatternSet.from_text("f(_,a)\n  zz(a,a)\n", sig_fga)
+    assert (e.value.line, e.value.offset) == (2, 2)
+    assert e.value.reason == "unknown symbol 'zz'"
 
 
 def test_pattern_set_from_text_infers_signature():
