@@ -273,7 +273,7 @@ def parse_term(text: str, sig: Signature, *, allow_wildcard: bool = False,
     tokens.append("")  # end of input; no token is empty
     known = sig._by_name.get
     new = object.__new__
-    open_nodes = []  # (name, symbol or None, token index, children) of every unclosed list
+    open_nodes = []  # (name, symbol or None, token index, children) per open list
     k = 0
     while True:
         name = tokens[k]
@@ -325,7 +325,7 @@ def _no_term(token: str) -> str:
 
 
 def _checked_node(text, sig, name, start, children, extend) -> Term:
-    """The term ``name(children)``, checked against ``sig`` from scratch.
+    """The term ``name(children)``, checked against ``sig`` in full.
 
     With ``extend`` an unknown name is declared at this arity; otherwise it
     is an error, as is every arity mismatch, at token ``start``.
