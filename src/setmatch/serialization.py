@@ -54,7 +54,7 @@ def to_json(a: SetAutomaton) -> str:
 def from_json(text: str) -> SetAutomaton:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise FormatError(f"invalid JSON: {e}", "$") from None
 
     _need(isinstance(doc, dict), "$", "document must be an object")

@@ -98,7 +98,11 @@ class Term:
         return format_term(self)
 
     def __repr__(self):
-        return f"Term({format_term(self)!r})"
+        """The text, cut to 80 characters that end in ``...`` when longer."""
+        text = format_term(self)
+        if len(text) > 80:
+            text = text[:77] + "..."
+        return f"Term({text!r})"
 
 
 WILDCARD = Term(None)

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import strategies as st
 
-from setmatch import (WILDCARD, PatternSet, Signature, Term, build,
-                      parse_term)
+from setmatch import PatternSet, Signature, Term, build, parse_term
+from setmatch.terms import WILDCARD
 
 positions = st.lists(st.integers(min_value=1, max_value=4),
                      max_size=6).map(tuple)

@@ -11,15 +11,14 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from setmatch import (LEFTMOST, RIGHTMOST, Goal, InvariantError, Outcome,
-                      PatternSet, Signature, build, choose_label,
-                      dependency_partition, derivative, evaluate, fresh_goal,
-                      goal_outcome, initial_state, lift_class, outputs,
-                      parse_term, prefix_leq, random_instance,
-                      reachable_position_bound, to_json, transition_count,
+from setmatch import (LEFTMOST, RIGHTMOST, Goal, InvariantError, PatternSet,
+                      Signature, build, evaluate, parse_term, prefix_leq,
+                      random_instance, reachable_position_bound, to_json,
                       verify_automaton)
-from setmatch.automaton import State, initial_goals
-from setmatch.goals import canonical_goals, split_fresh
+from setmatch.automaton import (State, choose_label, derivative, initial_goals,
+                                initial_state, outputs, transition_count)
+from setmatch.goals import (Outcome, canonical_goals, dependency_partition,
+                            fresh_goal, goal_outcome, lift_class, split_fresh)
 
 from conftest import pattern_sets
 

@@ -131,7 +131,6 @@ def test_match_json_output(compiled, tmp_path, capsys):
 @pytest.mark.parametrize("strategy,extra", [
     ("depth-first", []),
     ("breadth-first", []),
-    ("parallel", ["--workers", "3"]),
 ])
 def test_match_strategies_agree(compiled, tmp_path, capsys, strategy, extra):
     auto = compiled("nested", NESTED, signature="f/2\ng/1\na/0\n")
@@ -263,14 +262,50 @@ def test_match_reports_a_broken_automaton_in_one_line(compiled, tmp_path,
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("workers", ["0", "-3", "65", "1000000000", "many"])
-def test_match_rejects_absurd_worker_counts(compiled, tmp_path, workers):
+@pytest.mark.parametrize("kind", ["patterns", "signature", "automaton", "term",
+                                  "stdin", "export-dot"])
+def test_non_utf8_input_is_a_one_line_error(compiled, tmp_path, capsys,
+                                            monkeypatch, kind):
     auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
     term = _write_term(tmp_path, "f(a, a)")
-    with pytest.raises(SystemExit) as e:
-        main(["match", "--automaton", str(auto), "--term", str(term),
-              "--strategy", "parallel", "--workers", workers])
-    assert e.value.code == 2
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"f(a, a)\n\xff\n")
+    good = tmp_path / "good.patterns"
+    good.write_text(ROTATION)
+    out = str(tmp_path / "out")
+    argv = {
+        "patterns": ["compile", "--patterns", bad, "--out", out],
+        "signature": ["compile", "--patterns", good, "--signature", bad,
+                      "--out", out],
+        "automaton": ["match", "--automaton", bad, "--term", term],
+        "term": ["match", "--automaton", auto, "--term", bad],
+        "stdin": ["match", "--automaton", auto, "--term", "-"],
+        "export-dot": ["export-dot", "--automaton", bad, "--out", out],
+    }[kind]
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes()),
+                                                      encoding="utf-8"))
+    capsys.readouterr()
+    rc = main([str(arg) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    where = "stdin" if kind == "stdin" else str(bad)
+    assert err == f"error: {where}: not UTF-8 text, byte 8: invalid start byte\n"
+
+
+@pytest.mark.parametrize("command", ["match", "export-dot"])
+def test_deeply_nested_automaton_json_is_a_one_line_error(tmp_path, capsys,
+                                                          command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    term = _write_term(tmp_path, "a")
+    argv = {"match": ["match", "--automaton", str(deep), "--term", str(term)],
+            "export-dot": ["export-dot", "--automaton", str(deep),
+                           "--out", str(tmp_path / "g.dot")]}[command]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: $: invalid JSON: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_export_dot_round_trips(compiled, tmp_path, capsys):
@@ -309,15 +344,6 @@ def test_bench_family_single_strategy(capsys):
     assert lines[2].split("\t") == ["2", "6"]
 
 
-def test_bench_random_agrees(capsys):
-    rc = main(["bench", "--random", "--seed", "5", "--count", "4",
-               "--subject-size", "40"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "agreement: ok" in out
-    assert "instances: 4" in out
-
-
 def test_gen_writes_reproducible_instance(tmp_path, capsys):
     rc = main(["gen", "--seed", "9", "--out-prefix", str(tmp_path / "one")])
     assert rc == 0
@@ -351,3 +377,18 @@ def test_usage_errors_exit_with_2():
         main(["match", "--automaton", "a", "--term", "t",
               "--strategy", "sideways"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["match", "--automaton", "a", "--term", "t", "--strategy", "parallel"],
+    ["match", "--automaton", "a", "--term", "t", "--workers", "4"],
+    ["bench", "--random"],
+    ["bench", "--n-max", "3"],  # --family is required
+], ids=["parallel", "workers", "random", "no-family"])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: setmatch ")
+    assert "error: " in err

@@ -120,7 +120,7 @@ def test_foreign_symbol_is_rejected_under_parallel(nested_automaton, sig_fga):
 
 
 def test_wildcard_subject_is_rejected(nested_automaton, sig_fga):
-    from setmatch import WILDCARD
+    from setmatch.terms import WILDCARD
     f = sig_fga.symbol("f")
     a = sig_fga.symbol("a")
     with pytest.raises(SubjectError):

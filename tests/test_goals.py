@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setmatch import (Goal, InvariantError, Outcome, canonical_goals,
-                      dependency_partition, fresh_goal, goal_outcome,
-                      lift_class, parse_term, prefix_leq, reduce)
-from setmatch.goals import goal_sort_key
+from setmatch import Goal, InvariantError, parse_term, prefix_leq
+from setmatch.goals import (Outcome, canonical_goals, dependency_partition,
+                            fresh_goal, goal_outcome, goal_sort_key,
+                            lift_class, reduce)
 
 from conftest import pattern_terms, positions
 

@@ -6,12 +6,11 @@ import random
 import pytest
 
 from setmatch import (brute_force_matches, comb_pattern, comb_pattern_set,
-                      comb_signature, domain, format_term, random_instance,
-                      term_depth, term_size)
-from setmatch.oracle import (DEFAULT_PROFILE, profile_signature,
-                             random_pattern, random_pattern_set,
-                             random_subject)
-from setmatch.terms import contains_wildcard
+                      domain, format_term, random_instance, term_size)
+from setmatch.oracle import (DEFAULT_PROFILE, comb_signature,
+                             profile_signature, random_pattern,
+                             random_pattern_set, random_subject)
+from setmatch.terms import contains_wildcard, term_depth
 
 
 def test_brute_force_on_rotation_instance(assoc_pattern_set, assoc_subject):

@@ -10,9 +10,8 @@ import os.path
 import pytest
 from hypothesis import given
 
-from setmatch import (ROOT, format_position, gcp, join, parse_position,
-                      prefix_leq, strictly_below)
-from setmatch.positions import comparable
+from setmatch import format_position, gcp, join, prefix_leq
+from setmatch.positions import ROOT, comparable, parse_position, strictly_below
 
 from conftest import position_sets, positions
 

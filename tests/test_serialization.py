@@ -9,9 +9,9 @@ import sys
 import pytest
 
 import setmatch
-from setmatch import (SCHEMA_VERSION, FormatError, InvariantError, build,
-                      evaluate, from_json, parse_term, random_instance,
-                      to_json, verify_automaton)
+from setmatch import (FormatError, InvariantError, build, evaluate, from_json,
+                      parse_term, random_instance, to_json, verify_automaton)
+from setmatch.serialization import SCHEMA_VERSION
 
 
 def test_round_trip_is_byte_identical(nested_automaton):
@@ -169,6 +169,16 @@ def _expect_error(doc, fragment):
 def test_rejects_invalid_json():
     with pytest.raises(FormatError):
         from_json("{not json")
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"a":' * 100_000,
+                                  "[" * 100_000 + "]" * 100_000],
+                         ids=["array", "object", "closed-array"])
+def test_rejects_json_nested_past_the_decoder_limit(text):
+    with pytest.raises(FormatError) as e:
+        from_json(text)
+    assert e.value.path == "$"
+    assert e.value.reason.startswith("invalid JSON: ")
 
 
 def test_rejects_wrong_version(nested_automaton):

@@ -6,11 +6,11 @@ import random
 import pytest
 from hypothesis import given
 
-from setmatch import (WILDCARD, ParseError, PatternSet, PatternSetError,
-                      PositionError, Signature, SignatureError, Term, domain,
-                      format_term, matches, parse_term, read_signature,
-                      subterm_at, term_depth, term_size, write_signature)
-from setmatch.terms import contains_wildcard
+from setmatch import (ParseError, PatternSet, PatternSetError, PositionError,
+                      Signature, SignatureError, Term, domain, format_term,
+                      matches, parse_term, read_signature, subterm_at,
+                      term_size, write_signature)
+from setmatch.terms import WILDCARD, contains_wildcard, term_depth
 
 from conftest import pattern_terms, positions, subject_terms
 
@@ -250,6 +250,20 @@ def test_hash_is_the_hash_of_symbol_and_children_at_every_node(t):
     hash(nodes[-1])
     for node in nodes:
         assert hash(node) == hash((node.symbol, node.children))
+
+
+def test_repr_of_a_short_term_is_its_text():
+    sig = read_signature("f/2\na/0\nb/0\n")
+    assert repr(parse_term("f(a, b)", sig)) == "Term('f(a,b)')"
+    assert repr(WILDCARD) == "Term('_')"
+
+
+def test_repr_of_a_long_term_is_cut_and_marked(sig_fga):
+    t = _chain(sig_fga, DEEP, Term(sig_fga.symbol("a")))
+    assert repr(t) == "Term('" + "g(" * 38 + "g..." + "')"
+    assert len(repr(t)) == 88
+    whole = _chain(sig_fga, 26, WILDCARD)  # 79 characters: kept whole
+    assert repr(whole) == f"Term({format_term(whole)!r})"
 
 
 def test_format_reuses_cached_subterm_text(sig_fga):
