@@ -14,12 +14,14 @@ frozenset of its non-fresh goals and its fresh positions, each position
 standing for that family.  The step runs the non-fresh goals through
 :func:`goal_outcome`, takes the family at the label from a per-symbol
 table, keeps the other positions and adds one per argument.  States are
-interned on that key; ``State.goals`` is the full canonical goal set, built
-once per state.
+interned and labelled on that key alone.  ``State.goals``, the full
+canonical goal set, is a view: a built state expands and sorts its key on
+the first read of ``goals`` and keeps the tuple.  Matching never reads it.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from operator import itemgetter
 
 from .errors import InvariantError
@@ -50,6 +52,18 @@ class State:
     delta: dict = field(default_factory=dict)  # symbol name -> Transition
 
 
+class _BuiltState(State):
+    """A state of :func:`build`: its compact key, and its goals on first read."""
+
+    def __init__(self, label: Position, goals, fresh, full_goals):
+        self.label, self.delta = label, {}
+        self.compact, self._full_goals = (goals, fresh), full_goals
+
+    @cached_property
+    def goals(self) -> tuple[Goal, ...]:
+        return canonical_goals(self._full_goals(*self.compact))
+
+
 @dataclass
 class SetAutomaton:
     signature: Signature
@@ -76,14 +90,20 @@ def initial_state(ps: PatternSet) -> State:
     return State(label=(), goals=canonical_goals(initial_goals(ps)))
 
 
-def choose_label(goals, strategy: str) -> Position:
-    """Pick the state's inspection position among root-goal obligations."""
+def choose_label(members, strategy: str) -> Position:
+    """Pick the state's inspection position among root-goal obligations.
+
+    Members are goals, or fresh positions standing for their families.
+    """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown label strategy {strategy!r}")
-    candidates = sorted({pos for g in goals if g.is_root for pos in g.positions()})
+    candidates = {pos for m in members if isinstance(m, Goal) and m.is_root
+                  for _, pos in m.obligation}
+    if () in members:  # the fresh family at the root
+        candidates.add(())
     if not candidates:
         raise InvariantError("state has no root goal to take a label from")
-    return candidates[0] if strategy == LEFTMOST else candidates[-1]
+    return min(candidates) if strategy == LEFTMOST else max(candidates)
 
 
 def derivative(state: State, symbol: Symbol, ps: PatternSet) -> list[Goal]:
@@ -97,7 +117,7 @@ def derivative(state: State, symbol: Symbol, ps: PatternSet) -> list[Goal]:
     """
     goals, fresh = split_fresh(state.goals, ps.patterns)
     deriv, positions, _ = _step(goals, fresh, state.label, symbol,
-                                _family_outcomes(ps, symbol))
+                                _family_outcomes(initial_goals(ps), symbol))
     return _expand(deriv, positions, ps.patterns, {})
 
 
@@ -117,17 +137,17 @@ def outputs(state: State, symbol: Symbol) -> tuple[Announcement, ...]:
     return tuple(sorted(outs))
 
 
-def _family_outcomes(ps: PatternSet, symbol: Symbol):
-    """What observing ``symbol`` does to a fresh family at the root.
+def _family_outcomes(roots, symbol: Symbol):
+    """What observing ``symbol`` does to ``roots``, a fresh family at the root.
 
     Returns the ids of the patterns it completes and the goals the others
     reduce to; the patterns it discards are in neither.
     """
     done, reduced = [], []
-    for pid, pat in enumerate(ps.patterns):
-        outcome, goal = goal_outcome(fresh_goal(pid, pat, ()), symbol, ())
+    for g in roots:
+        outcome, goal = goal_outcome(g, symbol, ())
         if outcome is Outcome.COMPLETED:
-            done.append(pid)
+            done.append(g.pattern)
         elif outcome is Outcome.REDUCED:
             reduced.append(goal)
     return tuple(done), tuple(reduced)
@@ -179,20 +199,21 @@ def _expand(goals, fresh, patterns, families: dict) -> list[Goal]:
     return out
 
 
-def _order_targets(entries: list, patterns, families: dict) -> None:
+def _order_targets(entries: list, full_goals) -> None:
     """Sort a transition's (shift, key) entries as their full goal sets sort.
 
     That order is by shift, then by the canonical goal order; two targets
     of one transition rarely share a shift, so the goal order, which formats
-    every obligation term, is computed only when they do.
+    every obligation term, is computed only when they do.  ``full_goals``
+    expands a key's non-fresh goals and fresh positions.
     """
-    if len({shift for shift, _ in entries}) == len(entries):
+    if len(entries) < 2 or len({shift for shift, _ in entries}) == len(entries):
         entries.sort(key=itemgetter(0))
         return
 
     def goal_order(entry):
         shift, key = entry
-        full = _expand(*_split_key(key), patterns, families)
+        full = full_goals(*_split_key(key))
         return shift, tuple(map(goal_sort_key, canonical_goals(full)))
 
     entries.sort(key=goal_order)
@@ -219,10 +240,11 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
         raise ValueError(f"unknown label strategy {label_strategy!r}")
     sig = ps.signature
     patterns = ps.patterns
-    outcomes = {symbol: _family_outcomes(ps, symbol) for symbol in sig}
+    roots = [fresh_goal(pid, pat, ()) for pid, pat in enumerate(patterns)]
+    outcomes = {symbol: _family_outcomes(roots, symbol) for symbol in sig}
     families: dict[Position, list[Goal]] = {}  # fresh goals, by position
-    states: list[State] = []
-    compact: list[tuple[list[Goal], list[Position]]] = []  # per state id
+    full_goals = partial(_expand, patterns=patterns, families=families)
+    states: list[_BuiltState] = []
     ids: dict[frozenset, int] = {}
     pending: deque[int] = deque()
 
@@ -231,11 +253,8 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
         if sid is None:
             sid = len(states)
             ids[key] = sid
-            goals, fresh = _split_key(key)
-            full = _expand(goals, fresh, patterns, families)
-            states.append(State(label=choose_label(full, label_strategy),
-                                goals=canonical_goals(full)))
-            compact.append((goals, fresh))
+            states.append(_BuiltState(choose_label(key, label_strategy),
+                                      *_split_key(key), full_goals))
             pending.append(sid)
         return sid
 
@@ -243,16 +262,15 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
     while pending:
         sid = pending.popleft()
         label = states[sid].label
-        goals, fresh = compact[sid]
+        goals, fresh = states[sid].compact
         delta = states[sid].delta
-        for symbol in sig:
-            deriv, positions, completed = _step(goals, fresh, label, symbol,
-                                                outcomes[symbol])
+        for symbol, effect in outcomes.items():
+            deriv, positions, completed = _step(goals, fresh, label, symbol, effect)
             entries = []
             for klass in dependency_partition(deriv + positions):
                 lifted, shift = lift_class(klass)
                 entries.append((shift, frozenset(lifted)))
-            _order_targets(entries, patterns, families)
+            _order_targets(entries, full_goals)
             targets = tuple((intern(key), shift) for shift, key in entries)
             delta[symbol.name] = Transition(outputs=tuple(sorted(completed)),
                                             targets=targets)

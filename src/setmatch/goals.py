@@ -143,6 +143,8 @@ def dependency_partition(members) -> list[list[Member]]:
     deterministic.
     """
     members = list(members)
+    if len(members) < 2:  # no class, or one
+        return [members] if members else []
     parent: dict[Position, Position] = {}
 
     def find(x: Position) -> Position:

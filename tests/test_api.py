@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -79,3 +80,26 @@ def test_every_package_import_of_the_readme_is_exported():
                         re.S)
     imported = set().union(*map(_package_imports, blocks))
     assert imported and imported <= set(setmatch.__all__)
+
+
+def _traced_sites() -> list[tuple[str, str]]:
+    """(module expression, attribute) of each entry of perfbench's ``SITES``."""
+    tree = ast.parse((REPO / "perfbench" / "tracing.py").read_text())
+    (sites,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "SITES"
+                        for t in node.targets)]
+    return [(ast.unparse(site.elts[0]), site.elts[1].value) for site in sites.elts]
+
+
+def test_every_site_the_traced_benchmark_wraps_resolves():
+    # The traced run replaces these names where their callers look them up,
+    # so each must still exist there, e.g. in ``setmatch.automaton``'s globals.
+    spec = importlib.util.spec_from_file_location("_perfbench_bench",
+                                                  REPO / "perfbench" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    sites = _traced_sites()
+    assert ("setmatch.automaton", "canonical_goals") in sites
+    for module, attr in sites:
+        owner = bench if module == "bench" else importlib.import_module(module)
+        assert callable(getattr(owner, attr, None)), f"{module}.{attr}"

@@ -18,7 +18,8 @@ from setmatch import (LEFTMOST, RIGHTMOST, Goal, InvariantError, PatternSet,
 from setmatch.automaton import (State, choose_label, derivative, initial_goals,
                                 initial_state, outputs, transition_count)
 from setmatch.goals import (Outcome, canonical_goals, dependency_partition,
-                            fresh_goal, goal_outcome, lift_class, split_fresh)
+                            fresh_goal, goal_outcome, goal_sort_key, lift_class,
+                            split_fresh)
 
 from conftest import pattern_sets
 
@@ -84,6 +85,11 @@ def test_choose_label_examples(nested_pattern_set):
         choose_label(goals, "sideways")
     with pytest.raises(InvariantError):
         choose_label([fresh_goal(0, pat, (1,))], RIGHTMOST)
+    # a fresh position stands for its family, a root family only at the root
+    assert choose_label([goals[0], ()], LEFTMOST) == ()
+    assert choose_label([goals[0], ()], RIGHTMOST) == (2, 1)
+    with pytest.raises(InvariantError):
+        choose_label([(1,)], LEFTMOST)
 
 
 def test_rightmost_label_of_doubly_nested_state(sig_fga, nested_pattern_set):
@@ -461,3 +467,45 @@ def test_random_pattern_sets_build_and_verify(ps):
         for s in a.states:
             for g in s.goals:
                 assert g.positions() <= bound
+
+
+VIEW_CASES = ["nested", "assoc", "shared shift", 0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("strategy", [LEFTMOST, RIGHTMOST])
+@pytest.mark.parametrize("name", VIEW_CASES, ids=str)
+def test_goal_view_is_the_goal_by_goal_construction(request, name, strategy):
+    ps = _pinned_pattern_set(request, name)
+    a = build(ps, strategy)
+    assert a.states[a.initial].goals == canonical_goals(initial_goals(ps))
+    for state in a.states:
+        assert state.label == choose_label(state.goals, strategy)
+        for symbol in a.signature:
+            classes = dependency_partition(_goal_by_goal(state, symbol, ps))
+            want = sorted(((shift, canonical_goals(lifted))
+                           for lifted, shift in map(lift_class, classes)),
+                          key=lambda e: (e[0], [goal_sort_key(g) for g in e[1]]))
+            got = [(shift, a.states[tid].goals)
+                   for tid, shift in state.delta[symbol.name].targets]
+            assert got == want
+
+
+def test_build_sorts_goal_sets_only_for_shared_shift_ties(request, monkeypatch):
+    calls = []
+    monkeypatch.setattr("setmatch.automaton.canonical_goals",
+                        lambda goals: calls.append(None) or canonical_goals(goals))
+    total_ties = 0
+    for name in VIEW_CASES:
+        for strategy in (LEFTMOST, RIGHTMOST):
+            calls.clear()
+            a = build(_pinned_pattern_set(request, name), strategy)
+            ties = sum(len(tr.targets) for st in a.states for tr in st.delta.values()
+                       if len({shift for _, shift in tr.targets}) < len(tr.targets))
+            assert len(calls) == ties
+            total_ties += ties
+            # the goal view sorts once per state, on its first read
+            first = [st.goals for st in a.states]
+            assert len(calls) == ties + len(a.states)
+            assert all(st.goals is goals for st, goals in zip(a.states, first))
+            assert len(calls) == ties + len(a.states)
+    assert total_ties > 0
