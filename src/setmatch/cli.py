@@ -15,8 +15,8 @@ from pathlib import Path
 
 from .automaton import LEFTMOST, RIGHTMOST, build, transition_count, verify_automaton
 from .dot import to_dot
-from .errors import (InvariantError, ParseError, PatternSetError, SetMatchError,
-                     SignatureError)
+from .errors import (FormatError, InvariantError, ParseError, PatternSetError,
+                     SetMatchError, SignatureError)
 from .evaluate import BreadthFirst, DepthFirst, evaluate
 from .oracle import brute_force_matches, comb_pattern_set, random_instance
 from .positions import format_position
@@ -42,10 +42,20 @@ def _where(name: str) -> str:
 def _read(name: str) -> str:
     """The UTF-8 text of file ``name``, or of stdin for ``-``."""
     try:
-        return sys.stdin.read() if name == "-" else Path(name).read_text("utf-8")
+        if name == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        return Path(name).read_text("utf-8")
     except UnicodeDecodeError as e:
         raise SetMatchError(
             f"{_where(name)}: not UTF-8 text, byte {e.start}: {e.reason}") from None
+
+
+def _load(name: str):
+    """The automaton in JSON file ``name``; a format error names the file."""
+    try:
+        return from_json(_read(name))
+    except FormatError as e:
+        raise SetMatchError(f"{_where(name)}: {e}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,7 +134,7 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    a = from_json(_read(args.automaton))
+    a = _load(args.automaton)
     if args.verify:
         try:
             verify_automaton(a)
@@ -164,7 +174,7 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    a = from_json(_read(args.automaton))
+    a = _load(args.automaton)
     Path(args.out).write_text(to_dot(a))
     print(f"wrote {args.out}")
     return 0

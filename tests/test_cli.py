@@ -2,9 +2,13 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import setmatch
 from setmatch import from_json
 from setmatch.cli import main
 
@@ -111,7 +115,8 @@ def test_match_stats(compiled, tmp_path, capsys):
 def test_match_reads_stdin(compiled, capsys, monkeypatch):
     auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
     capsys.readouterr()
-    monkeypatch.setattr("sys.stdin", io.StringIO("f(f(a, a), a)\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"f(f(a, a), a)\n"),
+                                                      encoding="utf-8"))
     rc = main(["match", "--automaton", str(auto), "--term", "-"])
     assert rc == 0
     assert capsys.readouterr().out.splitlines() == ["f(f(_,_),_) @ ε"]
@@ -304,8 +309,41 @@ def test_deeply_nested_automaton_json_is_a_one_line_error(tmp_path, capsys,
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error: $: invalid JSON: ")
+    assert err.startswith(f"error: {deep}: $: invalid JSON: ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["match", "export-dot"])
+def test_automaton_format_error_names_the_file(tmp_path, capsys, command):
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"version": 3}')
+    term = _write_term(tmp_path, "a")
+    argv = {"match": ["match", "--automaton", str(doc), "--term", str(term)],
+            "export-dot": ["export-dot", "--automaton", str(doc),
+                           "--out", str(tmp_path / "g.dot")]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err \
+        == f"error: {doc}: $: missing field 'signature'\n"
+
+
+def test_non_utf8_stdin_reads_as_a_file_does_in_utf8_mode(compiled, tmp_path):
+    # Under UTF-8 mode sys.stdin decodes with surrogateescape, so a bad byte
+    # must be caught on the raw bytes, as a file's is.
+    auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
+    bad = tmp_path / "bad.term"
+    bad.write_bytes(b"f(a,\xff a)\n")
+    package_root = os.path.dirname(os.path.dirname(os.path.realpath(setmatch.__file__)))
+    errs = {}
+    for name in (str(bad), "-"):
+        r = subprocess.run([sys.executable, "-m", "setmatch.cli", "match",
+                            "--automaton", str(auto), "--term", name],
+                           input=bad.read_bytes(), capture_output=True, cwd=tmp_path,
+                           env={"PYTHONUTF8": "1", "PATH": "/usr/bin:/bin",
+                                "PYTHONPATH": package_root})
+        assert r.returncode == 2
+        errs[name] = r.stderr.decode("utf-8")
+    reason = "not UTF-8 text, byte 4: invalid start byte\n"
+    assert errs == {str(bad): f"error: {bad}: {reason}", "-": f"error: stdin: {reason}"}
 
 
 def test_export_dot_round_trips(compiled, tmp_path, capsys):
