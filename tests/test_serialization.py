@@ -1,16 +1,19 @@
 """JSON round trips, schema validation, verification by rebuild, and build
 determinism."""
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import setmatch
-from setmatch import (FormatError, InvariantError, build, evaluate, from_json,
-                      parse_term, random_instance, to_json, verify_automaton)
+from setmatch import (LEFTMOST, RIGHTMOST, FormatError, InvariantError, build,
+                      evaluate, from_json, parse_term, random_instance, to_json,
+                      verify_automaton)
 from setmatch.serialization import SCHEMA_VERSION
 
 
@@ -131,6 +134,24 @@ def test_rejects_unknown_label_strategy(nested_automaton, strategy):
     (("states", 0, "delta", "f", "targets"), [{"state": 1, "shift": [1, 1, 7]}],
      "$.states[0].delta.f.targets[0].shift[2]: step 7 is above the signature's "
      "widest arity 2"),
+    # an undeclared symbol is reported before a bad entry or a missing symbol
+    (("states", 1, "delta"), {"f": {"outputs": [{"pos": [0]}], "targets": []},
+                              "zz": {}},
+     "$.states[1].delta.zz: symbol is not in the signature"),
+    # a step of 0 makes the whole array bad, before the 9 is range-checked
+    (("states", 1, "label"), [9, 0],
+     "$.states[1].label: must be an array of positive integers"),
+    (("states", 2, "delta", "f", "targets"), [{"state": 1, "shift": [9, 0]}],
+     "$.states[2].delta.f.targets[0].shift: must be an array of positive integers"),
+    # per entry: the missing id field, then an unknown id, then the position
+    (("states", 1, "delta", "g", "outputs"), [{"pos": [0]}],
+     "$.states[1].delta.g.outputs[0]: missing field 'pattern'"),
+    (("states", 1, "delta", "g", "outputs"), [{"pattern": 7}],
+     "$.states[1].delta.g.outputs[0].pattern: unknown pattern id"),
+    (("states", 1, "delta", "g", "outputs"), [{"pattern": 0}],
+     "$.states[1].delta.g.outputs[0]: missing field 'pos'"),
+    (("states", 1, "delta", "g", "targets"), [{"state": True, "shift": [0]}],
+     "$.states[1].delta.g.targets[0].state: unknown state id True"),
 ])
 def test_rejects_nested_entries_with_their_exact_path(nested_automaton, where,
                                                       value, message):
@@ -142,6 +163,86 @@ def test_rejects_nested_entries_with_their_exact_path(nested_automaton, where,
     with pytest.raises(FormatError) as e:
         from_json(json.dumps(doc))
     assert str(e.value).startswith(message), str(e.value)
+
+
+# Values a broken document may hold in place of any of its own: wrong
+# types, True for an id, and positions with steps out of range.
+LOAD_VALUES = (None, True, 0, 1, -1, 2, 9, 1.5, "f", [], [0], [1], [9], [9, 0],
+               [1, True], {}, {"state": 0, "shift": []})
+
+
+def _paths(node, path=()):
+    """The path of every value below ``node``, in document order."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _break(doc, paths, rng) -> str:
+    """Apply one random edit to ``doc`` in place and say what it did: replace
+    a value, delete a key or list entry, or add or drop a ``delta`` symbol.
+    ``paths`` holds the unedited document's paths, then its ``delta`` paths."""
+    while True:
+        kind = rng.choice(("value", "value", "delete", "delta"))
+        path = rng.choice(paths[kind == "delta"])
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            node = parent[path[-1]]
+            break
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier edit took it away
+    if kind == "value":
+        parent[path[-1]] = rng.choice(LOAD_VALUES)
+    elif kind == "delete" or not isinstance(node, dict):
+        kind = "delete"
+        del parent[path[-1]]
+    elif rng.random() < 0.5 or not node:
+        kind = "extra symbol"
+        node[rng.choice(("zz", "a"))] = {"outputs": [], "targets": []}
+    else:
+        kind = "missing symbol"
+        del node[rng.choice(sorted(node))]
+    return f"{kind} {path}"
+
+
+def _pinned_load_documents():
+    """Seeded broken documents of small random automata, one or two edits
+    each, with the edits that made them."""
+    rng = random.Random(10)
+    for seed in range(8):
+        ps, _ = random_instance(seed, pattern_count=3, pattern_depth=2)
+        for strategy in (RIGHTMOST, LEFTMOST):
+            base = to_json(build(ps, strategy))
+            every = list(_paths(json.loads(base)))
+            paths = (every, [p for p in every if p[-1] == "delta"])
+            for _ in range(150):
+                doc = json.loads(base)
+                edits = [_break(doc, paths, rng) for _ in range(rng.choice((1, 1, 2)))]
+                yield ", ".join(edits), json.dumps(doc)
+
+
+PINNED_LOAD_OUTCOMES = (
+    2400, "3402ca59ce6c5b58ece8a28bc9dfaa9d160cb597eaeb8cbdd695c6b109490525")
+
+
+def test_load_outcomes_are_pinned():
+    # which error a broken document gives, its text, and its order among
+    # the document's faults are all part of the format
+    h = hashlib.sha256()
+    count = 0
+    for edits, text in _pinned_load_documents():
+        try:
+            from_json(text)
+            outcome = "ok"
+        except FormatError as e:
+            outcome = str(e)
+        h.update(f"{edits}\t{outcome}\n".encode())
+        count += 1
+    assert (count, h.hexdigest()) == PINNED_LOAD_OUTCOMES
 
 
 def test_rejects_bool_initial(nested_automaton):
