@@ -9,17 +9,19 @@ verified by rebuilding it from its patterns and label strategy and
 comparing the two (:func:`~setmatch.automaton.verify_automaton`).
 
 The text is compact JSON, deterministic, with a stable key order.
-``from_json`` validates structure and cross-references with a JSON-path in
-every error message, rejects a label, output position or shift with a step
-above the signature's widest arity, and rejects documents of any other
-schema version.
+``from_json`` reads a document in one pass and raises a
+:class:`~setmatch.errors.FormatError` at the first fault, with the JSON path
+of the value at fault.  It rejects a label, output position or shift with
+a step above the signature's widest arity, and documents of any other
+schema version.  Within a state, an undeclared ``delta`` symbol is reported
+first; then each symbol's transition in signature order.
 """
 
 import json
 
 from .automaton import LEFTMOST, RIGHTMOST, SetAutomaton, State, Transition
 from .errors import FormatError, ParseError, PatternSetError, SignatureError
-from .terms import PatternSet, Signature, Term, parse_term
+from .terms import PatternSet, Signature, parse_term
 
 SCHEMA_VERSION = 3
 
@@ -57,195 +59,155 @@ def from_json(text: str) -> SetAutomaton:
     except (json.JSONDecodeError, RecursionError) as e:
         raise FormatError(f"invalid JSON: {e}", "$") from None
 
-    _need(isinstance(doc, dict), "$", "document must be an object")
-    version = _field(doc, "version", "$")
-    _need(_is_int(version) and version == SCHEMA_VERSION, "$.version",
+    _need(type(doc) is dict, "document must be an object")
+    version = _field(doc, "version")
+    _need(type(version) is int and version == SCHEMA_VERSION,
           f"unsupported version {version!r}, expected {SCHEMA_VERSION}; "
-          "recompile the automaton from its patterns")
+          "recompile the automaton from its patterns", "version")
 
     sig = Signature()
-    raw_sig = _field(doc, "signature", "$")
-    _need(isinstance(raw_sig, list) and raw_sig, "$.signature",
-          "must be a non-empty array")
+    raw_sig = _field(doc, "signature")
+    _need(type(raw_sig) is list and raw_sig, "must be a non-empty array", "signature")
     for i, entry in enumerate(raw_sig):
-        path = f"$.signature[{i}]"
-        _need(isinstance(entry, dict), path, "must be an object")
-        name = _field(entry, "name", path)
-        arity = _field(entry, "arity", path)
-        _need(isinstance(name, str), path + ".name", "must be a string")
-        _need(_is_int(arity) and arity >= 0,
-              path + ".arity", "must be a non-negative integer")
+        _need(type(entry) is dict, "must be an object", "signature", i)
+        name = _field(entry, "name", "signature", i)
+        arity = _field(entry, "arity", "signature", i)
+        _need(type(name) is str, "must be a string", "signature", i, "name")
+        _need(type(arity) is int and arity >= 0, "must be a non-negative integer",
+              "signature", i, "arity")
         try:
             sig.declare(name, arity)
         except SignatureError as e:
-            raise FormatError(str(e), path) from None
+            raise FormatError(str(e), _path(("signature", i))) from None
 
-    raw_pats = _field(doc, "patterns", "$")
-    _need(isinstance(raw_pats, list) and raw_pats, "$.patterns",
-          "must be a non-empty array")
+    raw_pats = _field(doc, "patterns")
+    _need(type(raw_pats) is list and raw_pats, "must be a non-empty array", "patterns")
     terms = []
     for i, text_i in enumerate(raw_pats):
-        path = f"$.patterns[{i}]"
-        _need(isinstance(text_i, str), path, "must be a string")
-        terms.append(_term(text_i, sig, path))
+        _need(type(text_i) is str, "must be a string", "patterns", i)
+        try:
+            terms.append(parse_term(text_i, sig, allow_wildcard=True, extend=False))
+        except ParseError as e:
+            raise FormatError(f"unparseable pattern: {e}", _path(("patterns", i))) from None
     try:
         patterns = PatternSet(terms, sig)
     except PatternSetError as e:
         raise FormatError(str(e), "$.patterns") from None
 
-    strategy = _field(doc, "label_strategy", "$")
-    _need(strategy in (LEFTMOST, RIGHTMOST), "$.label_strategy",
-          f"must be '{LEFTMOST}' or '{RIGHTMOST}'")
+    strategy = _field(doc, "label_strategy")
+    _need(strategy in (LEFTMOST, RIGHTMOST), f"must be '{LEFTMOST}' or '{RIGHTMOST}'",
+          "label_strategy")
 
-    raw_states = _field(doc, "states", "$")
-    _need(isinstance(raw_states, list) and raw_states, "$.states",
-          "must be a non-empty array")
+    raw_states = _field(doc, "states")
+    _need(type(raw_states) is list and raw_states, "must be a non-empty array", "states")
     n_states = len(raw_states)
 
-    initial = _field(doc, "initial", "$")
-    _need(_is_int(initial) and 0 <= initial < n_states, "$.initial",
-          f"must be a state id below {n_states}")
+    initial = _field(doc, "initial")
+    _need(type(initial) is int and 0 <= initial < n_states,
+          f"must be a state id below {n_states}", "initial")
 
+    # One pass over the states.  Each check is written once, and the JSON
+    # path of a value is formatted only when its check fails.
     sym_names = [s.name for s in sig]
+    symbols = set(sym_names)
     n_patterns = len(terms)
     width = sig.max_arity
     states: list[State] = []
     for i, entry in enumerate(raw_states):
-        path = f"$.states[{i}]"
-        _need(isinstance(entry, dict), path, "must be an object")
-        sid = _field(entry, "id", path)
-        _need(_is_int(sid) and sid == i, path + ".id",
-              f"state ids must be dense and ascending (expected {i})")
-        label = _position(_field(entry, "label", path), path + ".label", width)
-        raw_delta = _field(entry, "delta", path)
-        delta = _transitions(raw_delta, sym_names, n_patterns, n_states, width)
-        if delta is None:
-            delta = _checked_transitions(raw_delta, path, sym_names, n_patterns,
-                                         n_states, width)
+        if type(entry) is not dict:
+            _fail("must be an object", "states", i)
+        sid = entry.get("id")
+        if type(sid) is not int or sid != i:
+            _invalid(entry, "id", f"state ids must be dense and ascending (expected {i})",
+                     "states", i)
+        label = _position(entry, "label", width, "states", i)
+        raw_delta = entry.get("delta")
+        if type(raw_delta) is not dict:
+            _invalid(entry, "delta", "must be an object", "states", i)
+        if raw_delta.keys() != symbols:
+            for name in raw_delta:
+                if name not in symbols:
+                    _fail("symbol is not in the signature", "states", i, "delta", name)
+        delta = {}
+        for name in sym_names:
+            tr = raw_delta.get(name)
+            if type(tr) is not dict:
+                if name not in raw_delta:
+                    _fail(f"missing transition for symbol '{name}'", "states", i, "delta")
+                _fail("must be an object", "states", i, "delta", name)
+            raw_outs = tr.get("outputs")
+            if type(raw_outs) is not list:
+                _invalid(tr, "outputs", "must be an array", "states", i, "delta", name)
+            outs = []
+            for j, o in enumerate(raw_outs):
+                if type(o) is not dict:
+                    _fail("must be an object", "states", i, "delta", name, "outputs", j)
+                pid = o.get("pattern")
+                if type(pid) is not int or not 0 <= pid < n_patterns:
+                    _invalid(o, "pattern", "unknown pattern id",
+                             "states", i, "delta", name, "outputs", j)
+                outs.append((pid, _position(o, "pos", width,
+                                            "states", i, "delta", name, "outputs", j)))
+            raw_tgts = tr.get("targets")
+            if type(raw_tgts) is not list:
+                _invalid(tr, "targets", "must be an array", "states", i, "delta", name)
+            tgts = []
+            for j, t in enumerate(raw_tgts):
+                if type(t) is not dict:
+                    _fail("must be an object", "states", i, "delta", name, "targets", j)
+                tid = t.get("state")
+                if type(tid) is not int or not 0 <= tid < n_states:
+                    _invalid(t, "state", f"unknown state id {tid!r}",
+                             "states", i, "delta", name, "targets", j)
+                tgts.append((tid, _position(t, "shift", width,
+                                            "states", i, "delta", name, "targets", j)))
+            delta[name] = Transition(outputs=tuple(outs), targets=tuple(tgts))
         states.append(State(label=label, goals=None, delta=delta))
 
     return SetAutomaton(signature=sig, patterns=patterns, label_strategy=strategy,
                         states=states, initial=initial)
 
 
-# A state's transitions are read first by a reader that formats no JSON
-# path and returns None at the first check that fails.  Only then does the
-# checked reader run: the same checks in the same order, with the path of
-# each value, raising at the first that fails.
-
-def _transitions(raw_delta, sym_names, n_patterns, n_states, width) -> dict | None:
-    """The transitions of a well-formed ``delta`` object, else None."""
-    if type(raw_delta) is not dict or len(raw_delta) != len(sym_names):
-        return None
-    delta = {}
-    for name in sym_names:
-        tr = raw_delta.get(name)
-        if type(tr) is not dict:
-            return None
-        raw_outs = tr.get("outputs")
-        raw_tgts = tr.get("targets")
-        if type(raw_outs) is not list or type(raw_tgts) is not list:
-            return None
-        outs = []
-        for o in raw_outs:
-            if type(o) is not dict:
-                return None
-            pid = o.get("pattern")
-            pos = o.get("pos")
-            if (type(pid) is not int or not 0 <= pid < n_patterns
-                    or not _is_position(pos, width)):
-                return None
-            outs.append((pid, tuple(pos)))
-        tgts = []
-        for t in raw_tgts:
-            if type(t) is not dict:
-                return None
-            tid = t.get("state")
-            shift = t.get("shift")
-            if (type(tid) is not int or not 0 <= tid < n_states
-                    or not _is_position(shift, width)):
-                return None
-            tgts.append((tid, tuple(shift)))
-        delta[name] = Transition(outputs=tuple(outs), targets=tuple(tgts))
-    return delta
+def _path(keys) -> str:
+    """The JSON path of the value at ``keys`` below the document root."""
+    return "$" + "".join(f"[{k}]" if type(k) is int else f".{k}" for k in keys)
 
 
-def _checked_transitions(raw_delta, path, sym_names, n_patterns, n_states,
-                         width) -> dict:
-    _need(isinstance(raw_delta, dict), path + ".delta", "must be an object")
-    for name in raw_delta:
-        _need(name in sym_names, f"{path}.delta.{name}",
-              "symbol is not in the signature")
-    delta = {}
-    for name in sym_names:
-        dpath = f"{path}.delta.{name}"
-        _need(name in raw_delta, path + ".delta",
-              f"missing transition for symbol '{name}'")
-        tr = raw_delta[name]
-        _need(isinstance(tr, dict), dpath, "must be an object")
-        outs = []
-        for j, o in enumerate(_list(_field(tr, "outputs", dpath), dpath + ".outputs")):
-            opath = f"{dpath}.outputs[{j}]"
-            _need(isinstance(o, dict), opath, "must be an object")
-            pid = _field(o, "pattern", opath)
-            _need(_is_int(pid) and 0 <= pid < n_patterns,
-                  opath + ".pattern", "unknown pattern id")
-            outs.append((pid, _position(_field(o, "pos", opath), opath + ".pos", width)))
-        tgts = []
-        for j, t in enumerate(_list(_field(tr, "targets", dpath), dpath + ".targets")):
-            tpath = f"{dpath}.targets[{j}]"
-            _need(isinstance(t, dict), tpath, "must be an object")
-            tid = _field(t, "state", tpath)
-            _need(_is_int(tid) and 0 <= tid < n_states,
-                  tpath + ".state", f"unknown state id {tid!r}")
-            tgts.append((tid, _position(_field(t, "shift", tpath), tpath + ".shift",
-                                        width)))
-        delta[name] = Transition(outputs=tuple(outs), targets=tuple(tgts))
-    return delta
+def _fail(message, *keys):
+    raise FormatError(message, _path(keys))
 
 
-def _term(text, sig, path) -> Term:
-    try:
-        return parse_term(text, sig, allow_wildcard=True, extend=False)
-    except ParseError as e:
-        raise FormatError(f"unparseable pattern: {e}", path) from None
-
-
-def _is_int(value) -> bool:
-    """A JSON integer; ``bool`` is an ``int`` subclass and is not one."""
-    return type(value) is int
-
-
-def _need(cond, path, msg):
+def _need(cond, message, *keys):
     if not cond:
-        raise FormatError(msg, path)
+        _fail(message, *keys)
 
 
-def _field(obj, key, path):
-    if not isinstance(obj, dict) or key not in obj:
-        raise FormatError(f"missing field '{key}'", path)
+def _invalid(obj, key, message, *keys):
+    """Raise for field ``key`` of the object at ``keys``: it is missing, or
+    its value is not what ``message`` asks for."""
+    if key not in obj:
+        _fail(f"missing field '{key}'", *keys)
+    _fail(message, *keys, key)
+
+
+def _field(obj, key, *keys):
+    if key not in obj:
+        _fail(f"missing field '{key}'", *keys)
     return obj[key]
 
 
-def _list(value, path):
-    _need(isinstance(value, list), path, "must be an array")
-    return value
-
-
-def _is_position(value, width) -> bool:
-    """A JSON array of argument indices, each from 1 to ``width``."""
-    if type(value) is not list:
-        return False
-    for x in value:
-        if type(x) is not int or not 1 <= x <= width:
-            return False
-    return True
-
-
-def _position(value, path, width) -> tuple:
-    _need(isinstance(value, list) and all(_is_int(x) and x >= 1 for x in value),
-          path, "must be an array of positive integers")
-    for k, x in enumerate(value):
-        _need(x <= width, f"{path}[{k}]",
-              f"step {x} is above the signature's widest arity {width}")
-    return tuple(value)
+def _position(obj, key, width, *keys) -> tuple:
+    """Field ``key`` of the object at ``keys`` as a position: an array of
+    argument indices, each from 1 to ``width``."""
+    value = obj.get(key)
+    if type(value) is list:
+        for x in value:
+            if type(x) is not int or not 1 <= x <= width:
+                break
+        else:
+            return tuple(value)
+        if all(type(x) is int and x >= 1 for x in value):
+            k = next(k for k, x in enumerate(value) if x > width)
+            _fail(f"step {value[k]} is above the signature's widest arity {width}",
+                  *keys, key, k)
+    _invalid(obj, key, "must be an array of positive integers", *keys)
