@@ -15,8 +15,7 @@ from pathlib import Path
 
 from .automaton import LEFTMOST, RIGHTMOST, build, transition_count, verify_automaton
 from .dot import to_dot
-from .errors import (FormatError, InvariantError, ParseError, PatternSetError,
-                     SetMatchError, SignatureError)
+from .errors import InvariantError, SetMatchError
 from .evaluate import BreadthFirst, DepthFirst, evaluate
 from .oracle import brute_force_matches, comb_pattern_set, random_instance
 from .positions import format_position
@@ -50,12 +49,22 @@ def _read(name: str) -> str:
             f"{_where(name)}: not UTF-8 text, byte {e.start}: {e.reason}") from None
 
 
-def _load(name: str):
-    """The automaton in JSON file ``name``; a format error names the file."""
+def _load(name: str, parse, *args):
+    """``parse(text, *args)`` of the text of file ``name``, or of stdin for
+    ``-``; an error of the parse names the file."""
+    text = _read(name)
     try:
-        return from_json(_read(name))
-    except FormatError as e:
+        return parse(text, *args)
+    except SetMatchError as e:
         raise SetMatchError(f"{_where(name)}: {e}") from None
+
+
+def _pattern_count(text: str) -> int:
+    """An ``argparse`` type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["depth-first", "breadth-first"],
                    default="depth-first")
     p.add_argument("--stats", action="store_true",
-                   help="also print inspection and work item counts")
+                   help="also print inspection and work item counts "
+                        "(to stderr under --json)")
     p.add_argument("--verify", action="store_true",
                    help="check the automaton against a rebuild from its patterns, "
                         "and the result against the brute-force matcher")
@@ -102,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a reproducible random instance to files")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--patterns", type=int, default=4)
+    p.add_argument("--patterns", type=_pattern_count, default=4)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--subject-size", type=int, default=50)
     p.add_argument("--wildcard-density", type=float, default=0.5)
@@ -114,18 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compile(args) -> int:
-    sig = None
-    if args.signature:
-        try:
-            sig = read_signature(_read(args.signature))
-        except SignatureError as e:
-            print(f"error: {args.signature}: {e}", file=sys.stderr)
-            return 2
-    try:
-        ps = PatternSet.from_text(_read(args.patterns), sig)
-    except (ParseError, PatternSetError, SignatureError) as e:
-        print(f"error: {args.patterns}: {e}", file=sys.stderr)
-        return 2
+    sig = _load(args.signature, read_signature) if args.signature else None
+    ps = _load(args.patterns, PatternSet.from_text, sig)
     a = build(ps, args.label)
     Path(args.out).write_text(to_json(a))
     print(f"states: {len(a.states)}")
@@ -134,18 +134,14 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    a = _load(args.automaton)
+    a = _load(args.automaton, from_json)
     if args.verify:
         try:
             verify_automaton(a)
         except InvariantError as e:
             print(f"verification FAILED: {args.automaton}: {e}", file=sys.stderr)
             return 1
-    try:
-        subject = parse_term(_read(args.term), a.signature)
-    except ParseError as e:
-        print(f"error: {_where(args.term)}: {e}", file=sys.stderr)
-        return 2
+    subject = _load(args.term, parse_term, a.signature)
     strategy = BreadthFirst() if args.strategy == "breadth-first" else DepthFirst()
     report = evaluate(a, subject, strategy)
     texts = a.patterns.texts()
@@ -158,9 +154,11 @@ def _cmd_match(args) -> int:
                            for pid, pos in report.matches):
             print(line)
     if args.stats:
-        # one pass: every work item inspects one subject node, once
-        print(f"inspections: {report.node_count}")
-        print(f"work items: {report.node_count}")
+        # one pass: every work item inspects one subject node, once; under
+        # --json, stdout holds the one JSON document
+        out = sys.stderr if args.as_json else sys.stdout
+        print(f"inspections: {report.node_count}", file=out)
+        print(f"work items: {report.node_count}", file=out)
     if args.verify:
         expected = brute_force_matches(a.patterns, subject)
         if expected != report.matches:
@@ -174,7 +172,7 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    a = _load(args.automaton)
+    a = _load(args.automaton, from_json)
     Path(args.out).write_text(to_dot(a))
     print(f"wrote {args.out}")
     return 0

@@ -93,7 +93,9 @@ def _random_term(rng, sig, depth, density, allow_wildcard):
 
 def random_pattern_set(rng: random.Random, sig: Signature, count: int,
                        depth: int, wildcard_density: float = 0.5) -> PatternSet:
-    """Up to ``count`` distinct random patterns (always at least one)."""
+    """Up to ``count`` distinct random patterns, at least one (the first
+    draw is always kept).  ``count`` must be at least 1; for 0,
+    :class:`PatternSet` raises :class:`PatternSetError`."""
     pats: list[Term] = []
     seen: set[str] = set()
     attempts = 0

@@ -84,6 +84,22 @@ def test_compile_missing_file_is_usage_error(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("kind, stdin, message", [
+    ("patterns", "f(a,\n", "line 1, offset 4: expected a term"),
+    ("signature", "f/x\n", "line 1: expected 'name/arity', got 'f/x'"),
+], ids=["patterns", "signature"])
+def test_compile_errors_on_stdin_name_stdin(tmp_path, capsys, monkeypatch, kind,
+                                            stdin, message):
+    good = tmp_path / "good.patterns"
+    good.write_text(ROTATION)
+    argv = {"patterns": ["compile", "--patterns", "-"],
+            "signature": ["compile", "--patterns", str(good), "--signature", "-"]}[kind]
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode()),
+                                                      encoding="utf-8"))
+    assert main(argv + ["--out", str(tmp_path / "a.json")]) == 2
+    assert capsys.readouterr().err == f"error: stdin: {message}\n"
+
+
 def _write_term(tmp_path, text):
     f = tmp_path / "subject.term"
     f.write_text(text + "\n")
@@ -131,6 +147,19 @@ def test_match_json_output(compiled, tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == [{"pattern": 0, "pos": []}, {"pattern": 1, "pos": [1]}]
+
+
+def test_match_json_stats_keeps_stdout_one_json_document(compiled, tmp_path, capsys):
+    auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
+    capsys.readouterr()
+    term = _write_term(tmp_path, "f(f(a, f(a, a)), a)")
+    rc = main(["match", "--automaton", str(auto), "--term", str(term),
+               "--json", "--stats"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == [{"pattern": 0, "pos": []},
+                                        {"pattern": 1, "pos": [1]}]
+    assert captured.err.splitlines() == ["inspections: 7", "work items: 7"]
 
 
 @pytest.mark.parametrize("strategy,extra", [
@@ -402,6 +431,18 @@ def test_gen_output_feeds_compile_and_match(tmp_path, capsys):
     rc = main(["match", "--automaton", str(auto),
                "--term", str(tmp_path / "inst.term"), "--verify"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_gen_pattern_count_below_one_is_a_usage_error(tmp_path, capsys, count):
+    with pytest.raises(SystemExit) as e:
+        main(["gen", "--seed", "1", "--patterns", count,
+              "--out-prefix", str(tmp_path / "inst")])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: setmatch gen ")
+    assert f"error: argument --patterns: must be at least 1, got {count}\n" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_usage_errors_exit_with_2():
