@@ -335,6 +335,54 @@ def test_compiled_structures_are_pinned(request, name, strategy):
     assert _structure_digest(a) == PINNED_STRUCTURES[name, strategy]
 
 
+# Seeded random sets over profiles with a ternary symbol; with few patterns
+# some symbols stay unmentioned.  (state count, SHA-256 over every to_json).
+COMPILE_PROFILES = ({0: 2, 1: 1, 2: 1, 3: 1}, {0: 2, 1: 2, 2: 2, 3: 2}, {0: 3, 3: 2})
+PINNED_COMPILE_DIGEST = (
+    2376, "aeeba553e654d0a93cd000e278d915bf606b493a42a5928d351fc96da7a1f688")
+
+
+def _symbols_of(term):
+    stack, out = [term], set()
+    while stack:
+        t = stack.pop()
+        if t.symbol is not None:
+            out.add(t.symbol)
+            stack.extend(t.children)
+    return out
+
+
+def _label_survivors(state, symbol, ps):
+    """Non-fresh goals of ``state`` that watch its label and survive ``symbol``."""
+    goals, _ = split_fresh(state.goals, ps.patterns)
+    return [g for g in goals
+            if goal_outcome(g, symbol, state.label)[0] is Outcome.REDUCED]
+
+
+def test_compiled_output_is_pinned():
+    h, states, steps = hashlib.sha256(), 0, Counter()
+    mentioned = Counter()
+    for profile in COMPILE_PROFILES:
+        for seed in range(60):
+            ps, _ = random_instance(seed, profile=profile,
+                                    pattern_count=1 + seed % 6,
+                                    pattern_depth=2 + seed % 3)
+            used = set().union(*map(_symbols_of, ps.patterns))
+            mentioned[len(used) < len(ps.signature), 3 in {s.arity for s in used}] += 1
+            for strategy in (LEFTMOST, RIGHTMOST):
+                a = build(ps, strategy)
+                h.update(to_json(a).encode())
+                states += len(a.states)
+                for state in a.states:
+                    for symbol in a.signature:
+                        steps[bool(_label_survivors(state, symbol, ps))] += 1
+    assert (states, h.hexdigest()) == PINNED_COMPILE_DIGEST
+    # both kinds of step and of signature occur
+    assert steps[True] and steps[False]
+    assert {unmentioned for unmentioned, _ in mentioned} == {True, False}
+    assert any(ternary for _, ternary in mentioned)
+
+
 def _goal_by_goal(state, symbol, ps):
     """The derivative with every fresh goal stepped on its own."""
     out = []
