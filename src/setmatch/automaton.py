@@ -8,15 +8,16 @@ becomes one successor state.  Goals completed by the observation leave the
 state machine as outputs.  A transition with no targets is the implicit
 final state: nothing is left to watch below this point.
 
-Every obligation position of a state carries the fresh goal of every
-pattern, so :func:`build` works on a state's compact key instead: the
-frozenset of its non-fresh goals and its fresh positions, each position
-standing for that family.  The step runs the non-fresh goals through
-:func:`goal_outcome`, takes the family at the label from a per-symbol
-table, keeps the other positions and adds one per argument.  States are
-interned and labelled on that key alone.  ``State.goals``, the full
-canonical goal set, is a view: a built state expands and sorts its key on
-the first read of ``goals`` and keeps the tuple.  Matching never reads it.
+:func:`build` works on compact keys: a state's non-fresh goals plus the
+positions of its fresh families, each standing for one fresh goal per
+pattern.  Only the goals at the label see the symbol, so a step is split
+three ways.  Once per build and symbol, the family at the root is stepped,
+partitioned and lifted; under a label its classes keep their keys.  Once
+per state, the members away from the label are partitioned and lifted, and
+the goals at the label are grouped by the symbol they demand.  Once per
+step, only that symbol's group is stepped, and a goal that survives joins
+the classes it touches.  ``State.goals`` is a view: a built state expands
+and sorts its key on the first read and keeps the tuple.
 """
 
 from collections import deque
@@ -112,13 +113,14 @@ def derivative(state: State, symbol: Symbol, ps: PatternSet) -> list[Goal]:
     Unchanged and reduced goals survive; discarded and completed goals drop
     out (completions are reported by :func:`outputs` instead); fresh goals
     appear below the observed position, one per pattern and argument.  This
-    is the compact step of :func:`build` with every fresh family written
-    out.
+    is :func:`build`'s step, its classes lowered and its families written out.
     """
     goals, fresh = split_fresh(state.goals, ps.patterns)
-    deriv, positions, _ = _step(goals, fresh, state.label, symbol,
-                                _family_outcomes(initial_goals(ps), symbol))
-    return _expand(deriv, positions, ps.patterns, {})
+    away, watching, family = _split(goals, fresh, state.label)
+    survivors, _ = _observe(watching.get(symbol, ()), symbol, state.label)
+    _, table = _table(initial_goals(ps) if family else (), symbol)
+    below = [_lower(m, state.label) for *_, klass in table for m in klass]
+    return _expand(*_split_key(away + survivors + below), ps.patterns, {})
 
 
 def outputs(state: State, symbol: Symbol) -> tuple[Announcement, ...]:
@@ -137,58 +139,74 @@ def outputs(state: State, symbol: Symbol) -> tuple[Announcement, ...]:
     return tuple(sorted(outs))
 
 
-def _family_outcomes(roots, symbol: Symbol):
-    """What observing ``symbol`` does to ``roots``, a fresh family at the root.
-
-    Returns the ids of the patterns it completes and the goals the others
-    reduce to; the patterns it discards are in neither.
-    """
-    done, reduced = [], []
-    for g in roots:
-        outcome, goal = goal_outcome(g, symbol, ())
-        if outcome is Outcome.COMPLETED:
-            done.append(g.pattern)
-        elif outcome is Outcome.REDUCED:
-            reduced.append(goal)
-    return tuple(done), tuple(reduced)
+def _table(roots, symbol: Symbol):
+    """The announcements that ``symbol`` completes in ``roots``, a fresh
+    family at the root, and the :func:`_classes` of the goals it reduces
+    with the argument positions, relative to the observed position."""
+    reduced, done = _observe(roots, symbol, ())
+    return done, _classes(reduced + [(i,) for i in range(1, symbol.arity + 1)])
 
 
-def _step(goals, fresh, at: Position, symbol: Symbol, outcomes):
-    """Observe ``symbol`` at ``at`` in the compact state (``goals``, ``fresh``).
+def _classes(members) -> list:
+    """A (shift, key, class) triple per dependency class of ``members``."""
+    return [(shift, frozenset(lifted), klass) for klass in dependency_partition(members)
+            for lifted, shift in [lift_class(klass)]]
 
-    ``goals`` are the non-fresh goals, ``fresh`` the fresh positions and
-    ``outcomes`` is ``_family_outcomes`` of ``symbol``.  Returns the
-    surviving non-fresh goals, the fresh positions after the step and the
-    completed announcements.
-    """
-    deriv: list[Goal] = []
-    completed: list[Announcement] = []
+
+def _split(goals, fresh, label: Position):
+    """The members away from ``label``, the goals at it by the one symbol
+    they demand (one that demands two is always discarded), and whether a
+    fresh family sits there: the part of a step that no symbol changes."""
+    away = [p for p in fresh if p != label]
+    watching: dict[Symbol, list[Goal]] = {}
+    for g in goals:
+        demanded = {t.symbol for t, p in g.obligation if p == label}
+        if not demanded:
+            away.append(g)
+        elif len(demanded) == 1:
+            watching.setdefault(*demanded, []).append(g)
+    return away, watching, label in fresh
+
+
+def _observe(goals, symbol: Symbol, at: Position):
+    """The goals that ``symbol`` at ``at`` reduces, and those it completes."""
+    survivors, completed = [], []
     for g in goals:
         outcome, reduced = goal_outcome(g, symbol, at)
-        if outcome is Outcome.UNCHANGED:
-            deriv.append(g)
-        elif outcome is Outcome.REDUCED:
-            deriv.append(reduced)
+        if outcome is Outcome.REDUCED:
+            survivors.append(reduced)
         elif outcome is Outcome.COMPLETED:
             completed.append((g.pattern, g.announce))
-    positions = [p for p in fresh if p != at]
-    if len(positions) < len(fresh):  # a fresh family sits at the label
-        done, reduced = outcomes
-        completed.extend((pid, at) for pid in done)
-        if at:  # the table's goals announce at the root
-            reduced = [Goal(frozenset((t, at + q) for t, q in g.obligation),
-                            g.pattern, at) for g in reduced]
-        deriv.extend(reduced)
-    positions.extend(at + (i,) for i in range(1, symbol.arity + 1))
-    return deriv, positions, completed
+    return survivors, completed
+
+
+def _lower(m, at: Position):
+    """A class member relative to the root, moved down to ``at``."""
+    if isinstance(m, Goal):
+        return Goal(frozenset((t, at + q) for t, q in m.obligation), m.pattern, at + m.announce)
+    return at + m
+
+
+def _link(survivors, label: Position, away, table) -> list:
+    """The (shift, key) targets of a step where goals at ``label`` survive:
+    they re-partition the classes they share a position with, of the
+    state's (``away``) and of the symbol's (``table``, under the label)."""
+    touched = {p for g in survivors for _, p in g.obligation}
+    linked, entries = list(survivors), []
+    for at, classes in (((), away), (label, table)):
+        near = {p[len(at):] for p in touched if p[:len(at)] == at}
+        for shift, key, klass in classes:
+            if any(near.intersection(m.positions() if isinstance(m, Goal) else (m,))
+                   for m in klass):
+                linked.extend((_lower(m, at) for m in klass) if at else klass)
+            else:
+                entries.append((at + shift, key))
+    return entries + [(shift, key) for shift, key, _ in _classes(linked)]
 
 
 def _expand(goals, fresh, patterns, families: dict) -> list[Goal]:
-    """``goals`` plus the fresh family at every position in ``fresh``.
-
-    ``families`` memoises each position's family, so the states that hold
-    it share its goals.
-    """
+    """``goals`` plus the fresh family at every position in ``fresh``;
+    ``families`` memoises each, so the states that hold it share its goals."""
     out = list(goals)
     for p in fresh:
         family = families.get(p)
@@ -241,7 +259,7 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
     sig = ps.signature
     patterns = ps.patterns
     roots = [fresh_goal(pid, pat, ()) for pid, pat in enumerate(patterns)]
-    outcomes = {symbol: _family_outcomes(roots, symbol) for symbol in sig}
+    tables = {symbol: _table(roots, symbol) for symbol in sig}
     families: dict[Position, list[Goal]] = {}  # fresh goals, by position
     full_goals = partial(_expand, patterns=patterns, families=families)
     states: list[_BuiltState] = []
@@ -260,20 +278,22 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
 
     intern(frozenset({()}))  # the fresh family at the root: initial_goals(ps)
     while pending:
-        sid = pending.popleft()
-        label = states[sid].label
-        goals, fresh = states[sid].compact
-        delta = states[sid].delta
-        for symbol, effect in outcomes.items():
-            deriv, positions, completed = _step(goals, fresh, label, symbol, effect)
-            entries = []
-            for klass in dependency_partition(deriv + positions):
-                lifted, shift = lift_class(klass)
-                entries.append((shift, frozenset(lifted)))
+        state = states[pending.popleft()]
+        label = state.label
+        away, watching, family = _split(*state.compact, label)
+        away = _classes(away)
+        fixed = [(shift, key) for shift, key, _ in away]
+        for symbol in sig:
+            done, table = tables[symbol] if family else _table((), symbol)
+            survivors, completed = _observe(watching.get(symbol, ()), symbol, label)
+            completed.extend((pid, label) for pid, _ in done)
+            if survivors:
+                entries = _link(survivors, label, away, table)
+            else:
+                entries = fixed + [(label + shift, key) for shift, key, _ in table]
             _order_targets(entries, full_goals)
-            targets = tuple((intern(key), shift) for shift, key in entries)
-            delta[symbol.name] = Transition(outputs=tuple(sorted(completed)),
-                                            targets=targets)
+            state.delta[symbol.name] = Transition(tuple(sorted(completed)), tuple(
+                (intern(key), shift) for shift, key in entries))
     return SetAutomaton(signature=sig, patterns=ps, label_strategy=label_strategy,
                         states=states)
 

@@ -59,12 +59,17 @@ def _load(name: str, parse, *args):
         raise SetMatchError(f"{_where(name)}: {e}") from None
 
 
-def _pattern_count(text: str) -> int:
-    """An ``argparse`` type: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _bounded(kind, low, high=None):
+    """An ``argparse`` type: a ``kind`` number of at least ``low`` and, when
+    given, at most ``high``; nan is neither."""
+    def number(text: str):
+        value = kind(text)
+        if not low <= value <= (value if high is None else high):
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}" if high is None
+                else f"must be in [{low}, {high}], got {value}")
+        return value
+    return number
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="state counts of a pattern family")
     p.add_argument("--family", choices=["tn"], required=True,
                    help="pattern family to size up (tn: the comb family)")
-    p.add_argument("--n-max", type=int, default=8,
+    p.add_argument("--n-max", type=_bounded(int, 1), default=8,
                    help="largest family index (default: 8)")
     p.add_argument("--label", choices=[LEFTMOST, RIGHTMOST],
                    help="restrict the table to one strategy")
@@ -112,10 +117,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a reproducible random instance to files")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--patterns", type=_pattern_count, default=4)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--subject-size", type=int, default=50)
-    p.add_argument("--wildcard-density", type=float, default=0.5)
+    p.add_argument("--patterns", type=_bounded(int, 1), default=4)
+    p.add_argument("--depth", type=_bounded(int, 0), default=3)
+    p.add_argument("--subject-size", type=_bounded(int, 1), default=50)
+    p.add_argument("--wildcard-density", type=_bounded(float, 0, 1), default=0.5)
     p.add_argument("--out-prefix", required=True,
                    help="writes <prefix>.patterns, <prefix>.term, <prefix>.sig")
     p.set_defaults(handler=_cmd_gen)
@@ -139,7 +144,7 @@ def _cmd_match(args) -> int:
         try:
             verify_automaton(a)
         except InvariantError as e:
-            print(f"verification FAILED: {args.automaton}: {e}", file=sys.stderr)
+            print(f"verification FAILED: {_where(args.automaton)}: {e}", file=sys.stderr)
             return 1
     subject = _load(args.term, parse_term, a.signature)
     strategy = BreadthFirst() if args.strategy == "breadth-first" else DepthFirst()

@@ -557,3 +557,41 @@ def test_build_sorts_goal_sets_only_for_shared_shift_ties(request, monkeypatch):
             assert all(st.goals is goals for st, goals in zip(a.states, first))
             assert len(calls) == ties + len(a.states)
     assert total_ties > 0
+
+
+def test_build_partitions_once_per_state_symbol_and_surviving_step(request,
+                                                                   monkeypatch):
+    """Only a goal that survives at the label makes a step re-partition.
+
+    Every other class is partitioned and lifted once per state (the members
+    away from the label) or once per symbol (the family table).
+    """
+    partitions, lifts = [], []
+
+    def partition(members):
+        classes = dependency_partition(members)
+        partitions.append(len(classes))
+        return classes
+
+    monkeypatch.setattr("setmatch.automaton.dependency_partition", partition)
+    monkeypatch.setattr("setmatch.automaton.lift_class",
+                        lambda klass: lifts.append(None) or lift_class(klass))
+    cases = [_pinned_pattern_set(request, name) for name in VIEW_CASES]
+    cases += [random_instance(seed, profile=profile, pattern_count=1 + seed % 6)[0]
+              for profile in COMPILE_PROFILES for seed in range(8)]
+    steps = spared = 0
+    for ps in cases:
+        for strategy in (LEFTMOST, RIGHTMOST):
+            partitions.clear()
+            lifts.clear()
+            a = build(ps, strategy)
+            done = len(partitions), sum(partitions), len(lifts)
+            surviving = sum(bool(_label_survivors(state, symbol, ps))
+                            for state in a.states for symbol in a.signature)
+            bound = len(a.states) + len(a.signature) + surviving
+            assert done[0] <= bound
+            assert done[2] == done[1]  # each class is lifted once
+            steps += len(a.states) * len(a.signature)
+            spared += len(a.states) * len(a.signature) - bound
+    # a partition per step would break the bound by this much
+    assert spared > steps // 2

@@ -212,6 +212,19 @@ def test_match_verify_checks_the_automaton_by_rebuilding_it(compiled, tmp_path,
     assert len(captured.err.splitlines()) == 1
 
 
+def test_match_verify_names_stdin(compiled, tmp_path, capsys, monkeypatch):
+    auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
+    doc = json.loads(auto.read_text())
+    doc["states"][1]["label"] = [2]
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps(doc).encode()),
+                                                      encoding="utf-8"))
+    capsys.readouterr()
+    rc = main(["match", "--automaton", "-", "--term", str(_write_term(tmp_path, "a")),
+               "--verify"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("verification FAILED: stdin: state 1: ")
+
+
 def test_match_rejects_foreign_symbol(compiled, tmp_path, capsys):
     auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
     term = _write_term(tmp_path, "f(b, a)")
@@ -443,6 +456,44 @@ def test_gen_pattern_count_below_one_is_a_usage_error(tmp_path, capsys, count):
     assert err.startswith("usage: setmatch gen ")
     assert f"error: argument --patterns: must be at least 1, got {count}\n" in err
     assert not list(tmp_path.iterdir())
+
+
+OUT_OF_RANGE = [
+    (["gen", "--depth", "-2"], "--depth: must be at least 0, got -2"),
+    (["gen", "--subject-size", "-5"], "--subject-size: must be at least 1, got -5"),
+    (["gen", "--subject-size", "0"], "--subject-size: must be at least 1, got 0"),
+    (["gen", "--wildcard-density", "2"], "--wildcard-density: must be in [0, 1], got 2.0"),
+    (["gen", "--wildcard-density", "-0.5"],
+     "--wildcard-density: must be in [0, 1], got -0.5"),
+    (["gen", "--wildcard-density", "nan"], "--wildcard-density: must be in [0, 1], got nan"),
+    (["gen", "--wildcard-density", "inf"], "--wildcard-density: must be in [0, 1], got inf"),
+    (["bench", "--family", "tn", "--n-max", "-1"], "--n-max: must be at least 1, got -1"),
+    (["bench", "--family", "tn", "--n-max", "0"], "--n-max: must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OUT_OF_RANGE,
+                         ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE])
+def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, argv, message):
+    if argv[0] == "gen":
+        argv = [*argv, "--seed", "1", "--out-prefix", str(tmp_path / "inst")]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: setmatch {argv[0]} ")
+    assert err.endswith(f"error: argument {message}\n")
+    assert capsys.readouterr().out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_flags_at_their_bounds_are_accepted(tmp_path, capsys):
+    assert main(["gen", "--seed", "1", "--depth", "0", "--subject-size", "1",
+                 "--wildcard-density", "1", "--out-prefix", str(tmp_path / "a")]) == 0
+    assert main(["gen", "--seed", "1", "--wildcard-density", "0",
+                 "--out-prefix", str(tmp_path / "b")]) == 0
+    assert main(["bench", "--family", "tn", "--n-max", "1"]) == 0
+    assert capsys.readouterr().out.endswith("n\trightmost\tleftmost\n1\t2\t2\n")
 
 
 def test_usage_errors_exit_with_2():
