@@ -182,9 +182,9 @@ def _observe(goals, symbol: Symbol, at: Position):
 
 def _lower(m, at: Position):
     """A class member relative to the root, moved down to ``at``."""
-    if isinstance(m, Goal):
-        return Goal(frozenset((t, at + q) for t, q in m.obligation), m.pattern, at + m.announce)
-    return at + m
+    if not isinstance(m, Goal):
+        return at + m
+    return Goal(frozenset((t, at + q) for t, q in m.obligation), m.pattern, at + m.announce)
 
 
 def _link(survivors, label: Position, away, table) -> list:

@@ -342,16 +342,6 @@ PINNED_COMPILE_DIGEST = (
     2376, "aeeba553e654d0a93cd000e278d915bf606b493a42a5928d351fc96da7a1f688")
 
 
-def _symbols_of(term):
-    stack, out = [term], set()
-    while stack:
-        t = stack.pop()
-        if t.symbol is not None:
-            out.add(t.symbol)
-            stack.extend(t.children)
-    return out
-
-
 def _label_survivors(state, symbol, ps):
     """Non-fresh goals of ``state`` that watch its label and survive ``symbol``."""
     goals, _ = split_fresh(state.goals, ps.patterns)
@@ -367,7 +357,7 @@ def test_compiled_output_is_pinned():
             ps, _ = random_instance(seed, profile=profile,
                                     pattern_count=1 + seed % 6,
                                     pattern_depth=2 + seed % 3)
-            used = set().union(*map(_symbols_of, ps.patterns))
+            used = {t.symbol for t in ps.subpatterns()}
             mentioned[len(used) < len(ps.signature), 3 in {s.arity for s in used}] += 1
             for strategy in (LEFTMOST, RIGHTMOST):
                 a = build(ps, strategy)
@@ -585,12 +575,11 @@ def test_build_partitions_once_per_state_symbol_and_surviving_step(request,
             partitions.clear()
             lifts.clear()
             a = build(ps, strategy)
-            done = len(partitions), sum(partitions), len(lifts)
             surviving = sum(bool(_label_survivors(state, symbol, ps))
                             for state in a.states for symbol in a.signature)
             bound = len(a.states) + len(a.signature) + surviving
-            assert done[0] <= bound
-            assert done[2] == done[1]  # each class is lifted once
+            assert len(partitions) <= bound
+            assert len(lifts) == sum(partitions)  # each class is lifted once
             steps += len(a.states) * len(a.signature)
             spared += len(a.states) * len(a.signature) - bound
     # a partition per step would break the bound by this much
