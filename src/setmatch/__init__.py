@@ -17,8 +17,7 @@ from .errors import (FormatError, InvariantError, ParseError, PatternSetError,
                      PositionError, SetMatchError, SignatureError,
                      SubjectError)
 from .evaluate import (BreadthFirst, DepthFirst, MatchReport, Parallel,
-                       count_inspections, evaluate, evaluation_tree,
-                       tree_nodes)
+                       evaluate, evaluation_tree, tree_nodes)
 from .goals import Goal
 from .oracle import (brute_force_matches, comb_pattern, comb_pattern_set,
                      random_instance)
@@ -37,7 +36,7 @@ __all__ = [
     "FormatError", "InvariantError", "ParseError", "PatternSetError",
     "PositionError", "SetMatchError", "SignatureError", "SubjectError",
     "BreadthFirst", "DepthFirst", "MatchReport", "Parallel",
-    "count_inspections", "evaluate", "evaluation_tree", "tree_nodes",
+    "evaluate", "evaluation_tree", "tree_nodes",
     "Goal",
     "brute_force_matches", "comb_pattern", "comb_pattern_set",
     "random_instance",

@@ -15,9 +15,12 @@ three ways.  Once per build and symbol, the family at the root is stepped,
 partitioned and lifted; under a label its classes keep their keys.  Once
 per state, the members away from the label are partitioned and lifted, and
 the goals at the label are grouped by the symbol they demand.  Once per
-step, only that symbol's group is stepped, and a goal that survives joins
-the classes it touches.  ``State.goals`` is a view: a built state expands
-and sorts its key on the first read and keeps the tuple.
+step, only that symbol's group is stepped; when a goal survives, the away
+members, the survivors and the symbol's classes under the label are
+partitioned afresh.  ``State.goals`` is a view: a built state expands and
+sorts its key on the first read and keeps the tuple.
+:func:`derivative` is the paper's goal-by-goal step, kept apart from
+:func:`build` as the reference the tests check it against.
 """
 
 from collections import deque
@@ -27,8 +30,7 @@ from operator import itemgetter
 
 from .errors import InvariantError
 from .goals import (Goal, Outcome, canonical_goals, dependency_partition,
-                    fresh_goal, goal_outcome, goal_sort_key, lift_class,
-                    split_fresh)
+                    fresh_goal, goal_outcome, goal_sort_key, lift_class)
 from .positions import Position, comparable, format_position, prefix_leq
 from .terms import PatternSet, Signature, Symbol, domain
 
@@ -73,9 +75,6 @@ class SetAutomaton:
     states: list[State]
     initial: int = 0
 
-    def state_count(self) -> int:
-        return len(self.states)
-
 
 def transition_count(a: SetAutomaton) -> int:
     """Number of (state, symbol, target) edges."""
@@ -108,19 +107,25 @@ def choose_label(members, strategy: str) -> Position:
 
 
 def derivative(state: State, symbol: Symbol, ps: PatternSet) -> list[Goal]:
-    """Goal set after observing ``symbol`` at the state's label.
+    """Goal set after observing ``symbol`` at the state's label, goal by goal.
 
     Unchanged and reduced goals survive; discarded and completed goals drop
     out (completions are reported by :func:`outputs` instead); fresh goals
     appear below the observed position, one per pattern and argument.  This
-    is :func:`build`'s step, its classes lowered and its families written out.
+    is the paper's definition, written apart from :func:`build`'s compact
+    step so that the tests can check that step against it.
     """
-    goals, fresh = split_fresh(state.goals, ps.patterns)
-    away, watching, family = _split(goals, fresh, state.label)
-    survivors, _ = _observe(watching.get(symbol, ()), symbol, state.label)
-    _, table = _table(initial_goals(ps) if family else (), symbol)
-    below = [_lower(m, state.label) for *_, klass in table for m in klass]
-    return _expand(*_split_key(away + survivors + below), ps.patterns, {})
+    out = []
+    for g in state.goals:
+        outcome, reduced = goal_outcome(g, symbol, state.label)
+        if outcome is Outcome.UNCHANGED:
+            out.append(g)
+        elif outcome is Outcome.REDUCED:
+            out.append(reduced)
+    for i in range(1, symbol.arity + 1):
+        out.extend(fresh_goal(pid, pat, state.label + (i,))
+                   for pid, pat in enumerate(ps.patterns))
+    return out
 
 
 def outputs(state: State, symbol: Symbol) -> tuple[Announcement, ...]:
@@ -140,7 +145,7 @@ def outputs(state: State, symbol: Symbol) -> tuple[Announcement, ...]:
 
 
 def _table(roots, symbol: Symbol):
-    """The announcements that ``symbol`` completes in ``roots``, a fresh
+    """The announcements that ``symbol`` completes in ``roots``, the fresh
     family at the root, and the :func:`_classes` of the goals it reduces
     with the argument positions, relative to the observed position."""
     reduced, done = _observe(roots, symbol, ())
@@ -154,9 +159,12 @@ def _classes(members) -> list:
 
 
 def _split(goals, fresh, label: Position):
-    """The members away from ``label``, the goals at it by the one symbol
-    they demand (one that demands two is always discarded), and whether a
-    fresh family sits there: the part of a step that no symbol changes."""
+    """The members away from ``label`` and the goals at it by the one symbol
+    they demand (one that demands two is always discarded): the part of a
+    step that no symbol changes.  The fresh family at ``label`` is stepped
+    by the symbol's table, so it must be there."""
+    if label not in fresh:
+        raise InvariantError(f"no fresh family at the label {format_position(label)}")
     away = [p for p in fresh if p != label]
     watching: dict[Symbol, list[Goal]] = {}
     for g in goals:
@@ -165,7 +173,7 @@ def _split(goals, fresh, label: Position):
             away.append(g)
         elif len(demanded) == 1:
             watching.setdefault(*demanded, []).append(g)
-    return away, watching, label in fresh
+    return away, watching
 
 
 def _observe(goals, symbol: Symbol, at: Position):
@@ -185,23 +193,6 @@ def _lower(m, at: Position):
     if not isinstance(m, Goal):
         return at + m
     return Goal(frozenset((t, at + q) for t, q in m.obligation), m.pattern, at + m.announce)
-
-
-def _link(survivors, label: Position, away, table) -> list:
-    """The (shift, key) targets of a step where goals at ``label`` survive:
-    they re-partition the classes they share a position with, of the
-    state's (``away``) and of the symbol's (``table``, under the label)."""
-    touched = {p for g in survivors for _, p in g.obligation}
-    linked, entries = list(survivors), []
-    for at, classes in (((), away), (label, table)):
-        near = {p[len(at):] for p in touched if p[:len(at)] == at}
-        for shift, key, klass in classes:
-            if any(near.intersection(m.positions() if isinstance(m, Goal) else (m,))
-                   for m in klass):
-                linked.extend((_lower(m, at) for m in klass) if at else klass)
-            else:
-                entries.append((at + shift, key))
-    return entries + [(shift, key) for shift, key, _ in _classes(linked)]
 
 
 def _expand(goals, fresh, patterns, families: dict) -> list[Goal]:
@@ -280,15 +271,16 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
     while pending:
         state = states[pending.popleft()]
         label = state.label
-        away, watching, family = _split(*state.compact, label)
-        away = _classes(away)
-        fixed = [(shift, key) for shift, key, _ in away]
+        away, watching = _split(*state.compact, label)
+        fixed = [(shift, key) for shift, key, _ in _classes(away)]
         for symbol in sig:
-            done, table = tables[symbol] if family else _table((), symbol)
+            done, table = tables[symbol]
             survivors, completed = _observe(watching.get(symbol, ()), symbol, label)
             completed.extend((pid, label) for pid, _ in done)
             if survivors:
-                entries = _link(survivors, label, away, table)
+                below = [_lower(m, label) for *_, klass in table for m in klass]
+                entries = [(shift, key) for shift, key, _
+                           in _classes(away + survivors + below)]
             else:
                 entries = fixed + [(label + shift, key) for shift, key, _ in table]
             _order_targets(entries, full_goals)

@@ -65,12 +65,6 @@ class MatchReport:
     inspected: tuple | None = None
 
 
-def count_inspections(report: MatchReport) -> int:
-    if report.inspected is None:
-        raise ValueError("run was not instrumented; pass instrument=True")
-    return len(report.inspected)
-
-
 def evaluate(a: SetAutomaton, subject: Term, strategy=DepthFirst(), *,
              instrument: bool = False, carry_subterms: bool = False) -> MatchReport:
     """All (pattern id, position) matches of ``a``'s patterns in ``subject``.

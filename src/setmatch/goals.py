@@ -10,8 +10,8 @@ members, splitting the result into independent classes
 
 A state holds the fresh goal of every pattern at each of its obligation
 positions, so it can be kept compact: its non-fresh goals plus the
-positions of its fresh families (:func:`split_fresh`).  The partition and
-the lift take such a position in place of the family it stands for.
+positions of its fresh families.  The partition and the lift take such a
+position in place of the family it stands for.
 """
 
 from dataclasses import dataclass
@@ -21,13 +21,10 @@ from .errors import InvariantError
 from .positions import Position, format_position, gcp, prefix_leq
 from .terms import Symbol, Term, format_term
 
-# An obligation is a non-empty frozenset of (subpattern, position) pairs.
-Pair = tuple[Term, Position]
-
 
 @dataclass(frozen=True)
 class Goal:
-    obligation: frozenset
+    obligation: frozenset  # non-empty, of (subpattern, position) pairs
     pattern: int
     announce: Position
 
@@ -61,27 +58,6 @@ def fresh_goal(pattern_id: int, pattern: Term, at: Position) -> Goal:
 # A class member: a goal, or a position standing for the complete fresh
 # family there, one fresh goal per pattern.
 Member = Goal | Position
-
-
-def split_fresh(goals, patterns) -> tuple[list[Goal], list[Position]]:
-    """The non-fresh goals, in input order, and the sorted fresh positions.
-
-    A fresh position is one where ``goals`` hold ``fresh_goal(pid,
-    patterns[pid], p)`` for every pattern.  A partial family counts as
-    non-fresh goals, so the split is lossless for any goal set.
-    """
-    goals = list(goals)
-    fresh_flags = [g.is_fresh and next(iter(g.obligation))[0] == patterns[g.pattern]
-                   for g in goals]
-    pids: dict[Position, set[int]] = {}
-    for g, is_fresh in zip(goals, fresh_flags):
-        if is_fresh:
-            pids.setdefault(g.announce, set()).add(g.pattern)
-    fresh = sorted(p for p, ids in pids.items() if len(ids) == len(patterns))
-    family = set(fresh)
-    others = [g for g, is_fresh in zip(goals, fresh_flags)
-              if not (is_fresh and g.announce in family)]
-    return others, fresh
 
 
 class Outcome(Enum):

@@ -19,7 +19,7 @@ EXPORTED = {
     "FormatError", "InvariantError", "ParseError", "PatternSetError",
     "PositionError", "SetMatchError", "SignatureError", "SubjectError",
     "BreadthFirst", "DepthFirst", "MatchReport", "Parallel",
-    "count_inspections", "evaluate", "evaluation_tree", "tree_nodes",
+    "evaluate", "evaluation_tree", "tree_nodes",
     "Goal",
     "brute_force_matches", "comb_pattern", "comb_pattern_set",
     "random_instance",
@@ -48,7 +48,7 @@ USERS = sorted([*(REPO / "perfbench").glob("*.py"), *(REPO / "demos").glob("*.py
 
 
 def test_all_is_exactly_the_exported_names():
-    assert len(setmatch.__all__) == len(set(setmatch.__all__)) == 49
+    assert len(setmatch.__all__) == len(set(setmatch.__all__)) == 48
     assert set(setmatch.__all__) == EXPORTED
     for name in setmatch.__all__:
         assert getattr(setmatch, name) is not None, name
@@ -103,3 +103,50 @@ def test_every_site_the_traced_benchmark_wraps_resolves():
     for module, attr in sites:
         owner = bench if module == "bench" else importlib.import_module(module)
         assert callable(getattr(owner, attr, None)), f"{module}.{attr}"
+
+
+def _definitions(path: Path):
+    """Each top-level function, class and assignment of a module, and each
+    non-dunder method, as (qualified name, name)."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, name.id
+
+
+def _references(path: Path):
+    """The names a Python file reads: loaded names, attributes, imports, and
+    string constants that spell a (dotted) name, as ``__all__`` entries and
+    monkeypatch targets do."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"[\w.]+", node.value):
+            yield from node.value.split(".")
+
+
+def test_every_definition_of_the_library_is_used():
+    """Each name the library defines is referenced beyond its definition."""
+    defined = {f"{path.stem}.{qualified}": name
+               for path in sorted((REPO / "src" / "setmatch").glob("*.py"))
+               for qualified, name in _definitions(path)}
+    used = set(re.findall(r"\w+", (REPO / "README.md").read_text()))
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in (REPO / folder).rglob("*.py"):
+            used.update(_references(path))
+    unused = sorted(q for q, name in defined.items() if name not in used)
+    assert len(defined) > 130
+    assert not unused

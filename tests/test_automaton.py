@@ -15,11 +15,10 @@ from setmatch import (LEFTMOST, RIGHTMOST, Goal, InvariantError, PatternSet,
                       Signature, build, evaluate, parse_term, prefix_leq,
                       random_instance, reachable_position_bound, to_json,
                       verify_automaton)
-from setmatch.automaton import (State, choose_label, derivative, initial_goals,
+from setmatch.automaton import (choose_label, derivative, initial_goals,
                                 initial_state, outputs, transition_count)
 from setmatch.goals import (Outcome, canonical_goals, dependency_partition,
-                            fresh_goal, goal_outcome, goal_sort_key, lift_class,
-                            split_fresh)
+                            fresh_goal, goal_outcome, goal_sort_key, lift_class)
 
 from conftest import pattern_sets
 
@@ -344,9 +343,8 @@ PINNED_COMPILE_DIGEST = (
 
 def _label_survivors(state, symbol, ps):
     """Non-fresh goals of ``state`` that watch its label and survive ``symbol``."""
-    goals, _ = split_fresh(state.goals, ps.patterns)
-    return [g for g in goals
-            if goal_outcome(g, symbol, state.label)[0] is Outcome.REDUCED]
+    return [g for g in state.goals if not g.is_fresh
+            and goal_outcome(g, symbol, state.label)[0] is Outcome.REDUCED]
 
 
 def test_compiled_output_is_pinned():
@@ -373,21 +371,6 @@ def test_compiled_output_is_pinned():
     assert any(ternary for _, ternary in mentioned)
 
 
-def _goal_by_goal(state, symbol, ps):
-    """The derivative with every fresh goal stepped on its own."""
-    out = []
-    for g in state.goals:
-        outcome, reduced = goal_outcome(g, symbol, state.label)
-        if outcome is Outcome.UNCHANGED:
-            out.append(g)
-        elif outcome is Outcome.REDUCED:
-            out.append(reduced)
-    for i in range(1, symbol.arity + 1):
-        out.extend(fresh_goal(pid, pat, state.label + (i,))
-                   for pid, pat in enumerate(ps.patterns))
-    return out
-
-
 @settings(max_examples=40, deadline=None)
 @given(pattern_sets())
 def test_compact_step_expands_to_the_goal_by_goal_step(ps):
@@ -396,18 +379,13 @@ def test_compact_step_expands_to_the_goal_by_goal_step(ps):
         verify_automaton(a)
         for state in a.states:
             # every obligation position carries the whole fresh family
-            _, fresh = split_fresh(state.goals, ps.patterns)
-            assert set(fresh) == {p for g in state.goals for p in g.positions()}
-            # a partial family is stepped goal by goal
-            partial = State(label=state.label, goals=tuple(
-                g for g in state.goals if g != fresh_goal(0, ps[0], state.label)))
+            positions = {p for g in state.goals for p in g.positions()}
+            assert {fresh_goal(pid, pat, p) for p in positions
+                    for pid, pat in enumerate(ps.patterns)} <= set(state.goals)
             for symbol in a.signature:
-                assert Counter(derivative(partial, symbol, ps)) \
-                    == Counter(_goal_by_goal(partial, symbol, ps))
-                full = _goal_by_goal(state, symbol, ps)
-                assert Counter(derivative(state, symbol, ps)) == Counter(full)
-                # the built transition is the partition and lift of that
-                # derivative, target for target
+                full = derivative(state, symbol, ps)
+                # the built transition is the partition and lift of the
+                # goal-by-goal derivative, target for target
                 want = Counter()
                 for klass in dependency_partition(full):
                     lifted, shift = lift_class(klass)
@@ -422,9 +400,6 @@ def test_compact_step_expands_to_the_goal_by_goal_step(ps):
 def test_fresh_positions_stand_for_their_families(assoc_pattern_set):
     pats = assoc_pattern_set.patterns
     reduced = Goal(frozenset({(pats[0].children[0], (1,))}), 0, ())
-    goals = [reduced] + [fresh_goal(pid, pat, (1,)) for pid, pat in enumerate(pats)]
-    goals.append(fresh_goal(0, pats[0], (2,)))  # half a family stays a goal
-    assert split_fresh(goals, pats) == ([reduced, goals[-1]], [(1,)])
     classes = dependency_partition([reduced, (1,), (2,)])
     assert classes == [[reduced, (1,)], [(2,)]]
     assert lift_class(classes[1]) == ([()], (2,))
@@ -452,6 +427,13 @@ def test_verify_accepts_built_automata(nested_pattern_set, assoc_pattern_set):
     for ps in (nested_pattern_set, assoc_pattern_set):
         for strategy in (LEFTMOST, RIGHTMOST):
             verify_automaton(build(ps, strategy))
+
+
+def test_build_refuses_a_label_without_its_fresh_family(nested_pattern_set,
+                                                        monkeypatch):
+    monkeypatch.setattr("setmatch.automaton.choose_label", lambda key, strategy: (9,))
+    with pytest.raises(InvariantError, match="no fresh family at the label 9"):
+        build(nested_pattern_set)
 
 
 def test_verify_rejects_tampered_label(nested_pattern_set):
@@ -519,7 +501,7 @@ def test_goal_view_is_the_goal_by_goal_construction(request, name, strategy):
     for state in a.states:
         assert state.label == choose_label(state.goals, strategy)
         for symbol in a.signature:
-            classes = dependency_partition(_goal_by_goal(state, symbol, ps))
+            classes = dependency_partition(derivative(state, symbol, ps))
             want = sorted(((shift, canonical_goals(lifted))
                            for lifted, shift in map(lift_class, classes)),
                           key=lambda e: (e[0], [goal_sort_key(g) for g in e[1]]))
