@@ -25,7 +25,7 @@ sorts its key on the first read and keeps the tuple.
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from operator import itemgetter
 
 from .errors import InvariantError
@@ -58,13 +58,13 @@ class State:
 class _BuiltState(State):
     """A state of :func:`build`: its compact key, and its goals on first read."""
 
-    def __init__(self, label: Position, goals, fresh, full_goals):
+    def __init__(self, label: Position, key: frozenset, patterns):
         self.label, self.delta = label, {}
-        self.compact, self._full_goals = (goals, fresh), full_goals
+        self.key, self._patterns = key, patterns
 
     @cached_property
     def goals(self) -> tuple[Goal, ...]:
-        return canonical_goals(self._full_goals(*self.compact))
+        return canonical_goals(_expand(self.key, self._patterns))
 
 
 @dataclass
@@ -158,21 +158,25 @@ def _classes(members) -> list:
             for lifted, shift in [lift_class(klass)]]
 
 
-def _split(goals, fresh, label: Position):
-    """The members away from ``label`` and the goals at it by the one symbol
-    they demand (one that demands two is always discarded): the part of a
-    step that no symbol changes.  The fresh family at ``label`` is stepped
-    by the symbol's table, so it must be there."""
-    if label not in fresh:
+def _split(key: frozenset, label: Position):
+    """A key's members away from ``label``, and its goals at it by the one
+    symbol they demand (one that demands two is always discarded): the part
+    of a step that no symbol changes.  The fresh family at ``label``, which
+    the symbol's table steps, must be in the key and is in neither result."""
+    if label not in key:
         raise InvariantError(f"no fresh family at the label {format_position(label)}")
-    away = [p for p in fresh if p != label]
+    away = []
     watching: dict[Symbol, list[Goal]] = {}
-    for g in goals:
-        demanded = {t.symbol for t, p in g.obligation if p == label}
+    for m in key:
+        if not isinstance(m, Goal):
+            if m != label:
+                away.append(m)
+            continue
+        demanded = {t.symbol for t, p in m.obligation if p == label}
         if not demanded:
-            away.append(g)
+            away.append(m)
         elif len(demanded) == 1:
-            watching.setdefault(*demanded, []).append(g)
+            watching.setdefault(*demanded, []).append(m)
     return away, watching
 
 
@@ -195,26 +199,24 @@ def _lower(m, at: Position):
     return Goal(frozenset((t, at + q) for t, q in m.obligation), m.pattern, at + m.announce)
 
 
-def _expand(goals, fresh, patterns, families: dict) -> list[Goal]:
-    """``goals`` plus the fresh family at every position in ``fresh``;
-    ``families`` memoises each, so the states that hold it share its goals."""
-    out = list(goals)
-    for p in fresh:
-        family = families.get(p)
-        if family is None:
-            family = families[p] = [fresh_goal(pid, pat, p)
-                                    for pid, pat in enumerate(patterns)]
-        out.extend(family)
+def _expand(key: frozenset, patterns) -> list[Goal]:
+    """The goals of a compact key: its non-fresh goals, and one fresh goal
+    per pattern at each of its positions."""
+    out = []
+    for m in key:
+        if isinstance(m, Goal):
+            out.append(m)
+        else:
+            out.extend(fresh_goal(pid, pat, m) for pid, pat in enumerate(patterns))
     return out
 
 
-def _order_targets(entries: list, full_goals) -> None:
+def _order_targets(entries: list, patterns) -> None:
     """Sort a transition's (shift, key) entries as their full goal sets sort.
 
     That order is by shift, then by the canonical goal order; two targets
     of one transition rarely share a shift, so the goal order, which formats
-    every obligation term, is computed only when they do.  ``full_goals``
-    expands a key's non-fresh goals and fresh positions.
+    every obligation term, is computed only when they do.
     """
     if len(entries) < 2 or len({shift for shift, _ in entries}) == len(entries):
         entries.sort(key=itemgetter(0))
@@ -222,18 +224,9 @@ def _order_targets(entries: list, full_goals) -> None:
 
     def goal_order(entry):
         shift, key = entry
-        full = full_goals(*_split_key(key))
-        return shift, tuple(map(goal_sort_key, canonical_goals(full)))
+        return shift, tuple(map(goal_sort_key, canonical_goals(_expand(key, patterns))))
 
     entries.sort(key=goal_order)
-
-
-def _split_key(key: frozenset) -> tuple[list[Goal], list[Position]]:
-    """A compact key's non-fresh goals and fresh positions."""
-    goals, fresh = [], []
-    for m in key:
-        (goals if isinstance(m, Goal) else fresh).append(m)
-    return goals, fresh
 
 
 def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
@@ -251,8 +244,6 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
     patterns = ps.patterns
     roots = [fresh_goal(pid, pat, ()) for pid, pat in enumerate(patterns)]
     tables = {symbol: _table(roots, symbol) for symbol in sig}
-    families: dict[Position, list[Goal]] = {}  # fresh goals, by position
-    full_goals = partial(_expand, patterns=patterns, families=families)
     states: list[_BuiltState] = []
     ids: dict[frozenset, int] = {}
     pending: deque[int] = deque()
@@ -262,8 +253,7 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
         if sid is None:
             sid = len(states)
             ids[key] = sid
-            states.append(_BuiltState(choose_label(key, label_strategy),
-                                      *_split_key(key), full_goals))
+            states.append(_BuiltState(choose_label(key, label_strategy), key, patterns))
             pending.append(sid)
         return sid
 
@@ -271,7 +261,7 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
     while pending:
         state = states[pending.popleft()]
         label = state.label
-        away, watching = _split(*state.compact, label)
+        away, watching = _split(state.key, label)
         fixed = [(shift, key) for shift, key, _ in _classes(away)]
         for symbol in sig:
             done, table = tables[symbol]
@@ -283,7 +273,7 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
                            in _classes(away + survivors + below)]
             else:
                 entries = fixed + [(label + shift, key) for shift, key, _ in table]
-            _order_targets(entries, full_goals)
+            _order_targets(entries, patterns)
             state.delta[symbol.name] = Transition(tuple(sorted(completed)), tuple(
                 (intern(key), shift) for shift, key in entries))
     return SetAutomaton(signature=sig, patterns=ps, label_strategy=label_strategy,

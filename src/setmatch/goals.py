@@ -3,10 +3,10 @@
 A goal reads "once every (subpattern, position) pair in the obligation has
 been observed, announce pattern ``pattern`` at position ``announce``".
 Observing a symbol at a position transforms a goal in one of four ways
-(:func:`goal_outcome`), and a whole goal set is advanced by transforming its
-members, splitting the result into independent classes
-(:func:`dependency_partition`) and re-rooting each class
-(:func:`lift_class`).
+(:func:`goal_outcome`, one pass over the obligation), and a whole goal set
+is advanced by transforming its members, splitting the result into
+independent classes (:func:`dependency_partition`) and re-rooting each
+class (:func:`lift_class`).
 
 A state holds the fresh goal of every pattern at each of its obligation
 positions, so it can be kept compact: its non-fresh goals plus the
@@ -67,45 +67,32 @@ class Outcome(Enum):
     COMPLETED = "completed"
 
 
-def reduce(obligation: frozenset, symbol: Symbol, at: Position) -> frozenset:
-    """One observation step on an obligation.
-
-    Pairs away from ``at`` are kept; pairs at ``at`` are replaced by their
-    non-wildcard children, pushed one level down.  The result may be empty,
-    which means the obligation was fulfilled by this observation.
-    """
-    out = []
-    for term, pos in obligation:
-        if pos != at:
-            out.append((term, pos))
-        else:
-            for i, child in enumerate(term.children[: symbol.arity], 1):
-                if child.symbol is not None:
-                    out.append((child, pos + (i,)))
-    return frozenset(out)
-
-
 def goal_outcome(goal: Goal, symbol: Symbol, at: Position):
-    """Classify one observation against one goal.
+    """Classify one observation against one goal, in one pass.
 
     Returns ``(Outcome, new_goal)``; ``new_goal`` is only set for REDUCED.
     UNCHANGED: the goal does not watch ``at``.  DISCARDED: it expected a
     different symbol there.  COMPLETED: this was the last thing it was
-    waiting for.  REDUCED: it keeps waiting, one level deeper.
+    waiting for.  REDUCED: it keeps waiting, one level deeper; the new goal
+    keeps the pattern, the announcement and the pairs away from ``at``, and
+    has the non-wildcard children of the pairs at ``at`` below it.
     """
-    touched = [term for term, pos in goal.obligation if pos == at]
+    rest, touched = [], False
+    for term, pos in goal.obligation:
+        if pos != at:
+            rest.append((term, pos))
+        elif term.symbol != symbol:
+            return Outcome.DISCARDED, None
+        else:
+            touched = True
+            for i, child in enumerate(term.children, 1):
+                if child.symbol is not None:
+                    rest.append((child, pos + (i,)))
     if not touched:
         return Outcome.UNCHANGED, None
-    if any(term.symbol != symbol for term in touched):
-        return Outcome.DISCARDED, None
-    rest = reduce(goal.obligation, symbol, at)
     if not rest:
-        # ``reduce`` keeps every pair away from ``at``, so all pairs were at
-        # ``at``; each is ``symbol`` (else DISCARDED above) and pushed no
-        # child, so each is ``symbol(_,...,_)``.  Equal pairs are one member
-        # of the frozenset: the obligation was that lone pair.
         return Outcome.COMPLETED, None
-    return Outcome.REDUCED, Goal(rest, goal.pattern, goal.announce)
+    return Outcome.REDUCED, Goal(frozenset(rest), goal.pattern, goal.announce)
 
 
 def dependency_partition(members) -> list[list[Member]]:

@@ -50,22 +50,19 @@ def profile_signature(profile: dict[int, int] | None = None) -> Signature:
 
 def random_pattern(rng: random.Random, sig: Signature, depth: int,
                    wildcard_density: float = 0.5) -> Term:
-    """A random pattern: never the bare wildcard, nesting at most ``depth``."""
-    return _random_term(rng, sig, depth, wildcard_density, allow_wildcard=False)
+    """A random pattern: never the bare wildcard, nesting at most ``depth``.
 
-
-def _random_term(rng, sig, depth, density, allow_wildcard):
-    """Draw nodes in preorder, each child one level shallower than its parent.
-
-    The open nodes wait on a stack, so ``depth`` is limited by memory only;
-    the draws come in the order a recursive generator would make them, so a
-    seed yields the same term.
+    Nodes are drawn in preorder, each child one level shallower than its
+    parent.  The open nodes wait on a stack, so ``depth`` is limited by
+    memory only; the draws come in the order a recursive generator would
+    make them, so a seed yields the same term.
     """
     symbols = list(sig)
     constants = [s for s in symbols if s.arity == 0]
     open_nodes = []  # (symbol, its depth, its children so far)
+    allow_wildcard = False  # the root is never the wildcard
     while True:
-        if allow_wildcard and rng.random() < density:
+        if allow_wildcard and rng.random() < wildcard_density:
             term = WILDCARD
         elif depth <= 0 and not constants:
             if not allow_wildcard:

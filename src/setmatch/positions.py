@@ -17,10 +17,6 @@ def prefix_leq(p: Position, q: Position) -> bool:
     return p[: len(q)] == q
 
 
-def strictly_below(p: Position, q: Position) -> bool:
-    return len(p) > len(q) and p[: len(q)] == q
-
-
 def comparable(p: Position, q: Position) -> bool:
     """True iff one of the positions is a prefix of the other."""
     return prefix_leq(p, q) or prefix_leq(q, p)

@@ -36,9 +36,9 @@ MODULE_ONLY = {
     "automaton": ["choose_label", "derivative", "initial_state", "outputs",
                   "transition_count"],
     "goals": ["Outcome", "canonical_goals", "dependency_partition",
-              "fresh_goal", "goal_outcome", "lift_class", "reduce"],
+              "fresh_goal", "goal_outcome", "lift_class"],
     "oracle": ["comb_signature"],
-    "positions": ["ROOT", "parse_position", "strictly_below"],
+    "positions": ["ROOT", "parse_position"],
     "serialization": ["SCHEMA_VERSION"],
     "terms": ["WILDCARD", "term_depth"],
 }

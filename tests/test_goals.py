@@ -1,15 +1,38 @@
-"""Match goals: reduce, outcomes, dependency classes, lifting."""
+"""Match goals: outcomes against a reference reduce, dependency classes,
+lifting."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setmatch import Goal, InvariantError, parse_term, prefix_leq
+from setmatch import Goal, InvariantError, Symbol, parse_term, prefix_leq
 from setmatch.goals import (Outcome, canonical_goals, dependency_partition,
                             fresh_goal, goal_outcome, goal_sort_key,
-                            lift_class, reduce)
+                            lift_class)
+from setmatch.positions import Position
 
 from conftest import pattern_terms, positions
+
+
+def reduce(obligation: frozenset, symbol: Symbol, at: Position) -> frozenset:
+    """One observation step on an obligation.
+
+    Pairs away from ``at`` are kept; pairs at ``at`` are replaced by their
+    non-wildcard children, pushed one level down.  The result may be empty,
+    which means the obligation was fulfilled by this observation.
+
+    A reference written apart from :func:`goal_outcome`, which does the same
+    step in the same pass that classifies it.
+    """
+    out = []
+    for term, pos in obligation:
+        if pos != at:
+            out.append((term, pos))
+        else:
+            for i, child in enumerate(term.children[: symbol.arity], 1):
+                if child.symbol is not None:
+                    out.append((child, pos + (i,)))
+    return frozenset(out)
 
 
 def _pairs(sig, *items):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 
 from setmatch import format_position, gcp, join, prefix_leq
-from setmatch.positions import ROOT, comparable, parse_position, strictly_below
+from setmatch.positions import ROOT, comparable, parse_position
 
 from conftest import position_sets, positions
 
@@ -26,12 +26,6 @@ def test_prefix_examples():
     assert prefix_leq((2, 1), (2, 1))
     assert prefix_leq((3, 1, 2), ROOT)
     assert prefix_leq(ROOT, ROOT)
-
-
-def test_strictly_below():
-    assert strictly_below((1, 2), (1,))
-    assert not strictly_below((1,), (1,))
-    assert not strictly_below((1,), (2,))
 
 
 def test_join_examples():
