@@ -56,7 +56,7 @@ class State:
 
 
 class _BuiltState(State):
-    """A state of :func:`build`: its compact key, and its goals on first read."""
+    """A state of :func:`build`: its interned key, and its goals on first read."""
 
     def __init__(self, label: Position, key: frozenset, patterns):
         self.label, self.delta = label, {}
