@@ -151,7 +151,7 @@ def _cmd_match(args) -> int:
     report = evaluate(a, subject, strategy)
     texts = a.patterns.texts()
     if args.as_json:
-        doc = [{"pattern": pid, "pos": list(pos)}
+        doc = [{"pattern": pid, "pos": pos}
                for pid, pos in sorted(report.matches)]
         print(json.dumps(doc, indent=2))
     else:

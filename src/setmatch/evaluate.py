@@ -109,6 +109,7 @@ def _drain(a, work, fifo, matches, log, until=sys.maxsize) -> int:
     known = a.signature._by_name.get
     pop = work.popleft if fifo else work.pop
     push = work.append
+    shared: dict = {}
     done = 0
     while 0 < len(work) < until:
         sid, cell, here, parent = pop()
@@ -136,7 +137,12 @@ def _drain(a, work, fifo, matches, log, until=sys.maxsize) -> int:
         if tr.outputs:
             at = cell[2] or _position(cell)
             for pid, rel in tr.outputs:
-                matches.append((pid, at + rel))
+                if rel:
+                    pos = at + rel
+                    pos = shared.setdefault(pos, pos)
+                else:
+                    pos = at
+                matches.append((pid, pos))
         for tid, shift in tr.targets:
             if shift:
                 sub = here

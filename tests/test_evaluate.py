@@ -1,14 +1,16 @@
 """Evaluator: strategies, instrumentation, the work-item tree."""
 
+import random
 import sys
 import threading
 
 import pytest
 from hypothesis import given, settings
 
-from setmatch import (BreadthFirst, DepthFirst, InvariantError, Parallel,
-                      PatternSet, Signature, SubjectError, Term, build,
-                      brute_force_matches, domain, evaluate, evaluation_tree,
+from setmatch import (LEFTMOST, RIGHTMOST, BreadthFirst, DepthFirst,
+                      InvariantError, Parallel, PatternSet, Signature,
+                      SubjectError, Term, build, brute_force_matches,
+                      comb_pattern, domain, evaluate, evaluation_tree,
                       matches, parse_term, subterm_at, tree_nodes)
 from setmatch.automaton import Transition
 from setmatch.evaluate import MAX_WORKERS
@@ -283,3 +285,32 @@ def test_deep_unary_chain_is_one_pass():
         report = evaluate(a, t, strategy)
         assert report.node_count == depth + 1
         assert report.matches == {(0, (1,) * (depth - 1))}
+
+
+def _spine(sig, depth, comb, rng):
+    """A ``depth``-level spine built bottom-up: every level ``f(spine, g(c))``
+    in a comb; ``f(g(c), spine)`` with even odds in a mixed spine."""
+    f, g = sig.symbol("f"), sig.symbol("g")
+    consts = [s for s in sig if s.arity == 0]
+    t = Term(rng.choice(consts))
+    for _ in range(depth):
+        side = Term(g, (Term(rng.choice(consts)),))
+        t = Term(f, (t, side) if comb or rng.random() < 0.5 else (side, t))
+    return t
+
+
+@pytest.mark.parametrize("label_strategy", (RIGHTMOST, LEFTMOST))
+@pytest.mark.parametrize("comb", (True, False), ids=("comb", "mixed"))
+def test_matches_at_one_position_share_its_tuple(label_strategy, comb):
+    # t1..t8 all match at most spine nodes of a comb; the positions below
+    # a pointer are built once per run, so each position has at most two
+    # tuples: the pointer's own and the shared one
+    sig = Signature((("f", 2), ("g", 1), ("a", 0), ("b", 0)))
+    ps = PatternSet(tuple(comb_pattern(n, sig) for n in range(1, 9)), sig)
+    a = build(ps, label_strategy)
+    t = _spine(sig, 150, comb, random.Random(14))
+    expected = brute_force_matches(ps, t)
+    for strategy in (DepthFirst(), BreadthFirst()):
+        m = evaluate(a, t, strategy).matches
+        assert m == expected
+        assert len({id(p) for _, p in m}) <= 2 * len({p for _, p in m})
