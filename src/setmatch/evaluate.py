@@ -11,7 +11,9 @@ dealt to threads) changes nothing about the reported match set.
 A pointer is a parent-linked cell ``[parent cell, shift, position or
 None]``, shared with the parent when the shift is empty.  Its position
 tuple is built only for a cell whose item announces a match, so one run
-costs time linear in the subject plus the size of its matches.
+costs time linear in the subject plus the size of its matches.  A match
+position below a pointer is built and kept once per run (once per thread
+under ``Parallel``), however many patterns match there.
 """
 
 import sys
@@ -54,7 +56,8 @@ class Parallel:
 class MatchReport:
     """What one evaluation produced.
 
-    ``matches`` holds absolute (pattern id, position) pairs.  ``node_count``
+    ``matches`` holds absolute (pattern id, position) pairs; the matches at
+    one position below a pointer share one position tuple.  ``node_count``
     is the number of work items processed, which equals the number of
     subject positions inspected.  ``inspected`` lists every inspected
     position when the run was instrumented, in processing order.
@@ -100,10 +103,11 @@ def _root(a: SetAutomaton, subject: Term) -> deque:
 def _drain(a, work, fifo, matches, log, until=sys.maxsize) -> int:
     """Process items of ``work`` until it is empty or holds ``until`` items.
 
-    Appends announcements to ``matches`` and, when ``log`` is a list, one
-    (state id, pointer, parent item index) entry per item; the index counts
-    items of this call, so it names the parent only in a drain from the
-    root.  Returns the number of items processed.
+    Appends announcements to ``matches``, building each position below a
+    pointer once per call, and, when ``log`` is a list, one (state id,
+    pointer, parent item index) entry per item; the index counts items of
+    this call, so it names the parent only in a drain from the root.
+    Returns the number of items processed.
     """
     states = a.states
     known = a.signature._by_name.get
