@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 
 from setmatch import (LEFTMOST, RIGHTMOST, Goal, InvariantError, PatternSet,
-                      Signature, build, evaluate, parse_term, prefix_leq,
-                      random_instance, reachable_position_bound, to_json,
-                      verify_automaton)
+                      Signature, build, evaluate, from_json, parse_term,
+                      prefix_leq, random_instance, reachable_position_bound,
+                      to_json, verify_automaton)
 from setmatch.automaton import (choose_label, derivative, initial_goals,
                                 initial_state, outputs, transition_count)
 from setmatch.goals import (Outcome, canonical_goals, dependency_partition,
@@ -450,12 +450,38 @@ def test_verify_rejects_missing_transition(nested_pattern_set):
         verify_automaton(a)
 
 
-def test_verify_rejects_dropped_fresh_goal(nested_pattern_set):
-    a = build(nested_pattern_set)
-    s = a.states[1]
-    s.goals = tuple(g for g in s.goals if not (g.is_fresh and g.announce == (1,)))
+def _tamper_rebuild(monkeypatch, tamper):
+    """Make verify_automaton's rebuild pass through ``tamper`` before use."""
+    def build_and_tamper(ps, label_strategy):
+        rebuilt = build(ps, label_strategy)
+        tamper(rebuilt.states[1])
+        return rebuilt
+    monkeypatch.setattr("setmatch.automaton.build", build_and_tamper)
+
+
+def test_verify_rejects_dropped_fresh_goal(nested_pattern_set, monkeypatch):
+    a = from_json(to_json(build(nested_pattern_set)))
+
+    def drop(s):
+        s.goals = tuple(g for g in s.goals if not (g.is_fresh and g.announce == (1,)))
+    _tamper_rebuild(monkeypatch, drop)
     with pytest.raises(InvariantError, match="missing fresh goal"):
         verify_automaton(a)
+
+
+def test_verify_names_comparable_positions_of_the_rebuild(nested_pattern_set,
+                                                          monkeypatch):
+    a = from_json(to_json(build(nested_pattern_set)))
+    pat = nested_pattern_set[0]
+
+    def add_below(s):
+        positions = {p for g in s.goals for p in g.positions()}
+        deepest = max(positions, key=lambda p: (len(p), p))
+        s.goals = canonical_goals([*s.goals, fresh_goal(0, pat, deepest + (1,))])
+    _tamper_rebuild(monkeypatch, add_below)
+    with pytest.raises(InvariantError) as e:
+        verify_automaton(a)
+    assert str(e.value) == "state 1: comparable obligation positions 2 and 2.1"
 
 
 def test_every_state_keeps_a_root_goal(nested_pattern_set, assoc_pattern_set):
