@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 
 from setmatch import (LEFTMOST, RIGHTMOST, Goal, InvariantError, PatternSet,
-                      Signature, build, evaluate, from_json, parse_term,
-                      prefix_leq, random_instance, reachable_position_bound,
-                      to_json, verify_automaton)
+                      Signature, Transition, build, evaluate, from_json,
+                      parse_term, prefix_leq, random_instance,
+                      reachable_position_bound, to_json, verify_automaton)
 from setmatch.automaton import (choose_label, derivative, initial_goals,
                                 initial_state, outputs, transition_count)
 from setmatch.goals import (Outcome, canonical_goals, dependency_partition,
@@ -447,6 +447,15 @@ def test_verify_rejects_missing_transition(nested_pattern_set):
     a = build(nested_pattern_set)
     del a.states[1].delta["g"]
     with pytest.raises(InvariantError):
+        verify_automaton(a)
+
+
+def test_verify_compares_a_built_automaton_with_its_rebuild(nested_pattern_set):
+    a = build(nested_pattern_set)
+    tr = a.states[0].delta["f"]
+    a.states[0].delta["f"] = Transition(tr.outputs, tuple(
+        ((tid + 1) % len(a.states), shift) for tid, shift in tr.targets))
+    with pytest.raises(InvariantError, match="state 0, symbol 'f'"):
         verify_automaton(a)
 
 
