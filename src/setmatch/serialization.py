@@ -4,9 +4,9 @@ The document holds what matching needs and what rebuilding needs: the
 signature, the pattern texts, the label strategy, the initial state, and
 per state its label and transitions.  Goal sets are the compiler's working
 data and are not stored, so a loaded state has ``goals=None``.  Because
-:func:`~setmatch.automaton.build` is deterministic, a loaded automaton is
-verified by rebuilding it from its patterns and label strategy and
-comparing the two (:func:`~setmatch.automaton.verify_automaton`).
+:func:`~setmatch.automaton.build` is deterministic, any automaton, loaded
+or built, is verified by rebuilding it from its patterns and label strategy
+and comparing the two (:func:`~setmatch.automaton.verify_automaton`).
 
 The text is compact JSON, deterministic, with a stable key order.
 ``from_json`` reads a document in one pass and raises a
