@@ -6,8 +6,8 @@ every pattern is reported while each subject symbol is inspected exactly
 once, independent of the traversal strategy.
 
 The package exports what the README, the demos and the acceptance suite
-use; the building blocks (goals, single steps, position parsing) stay
-importable from their own modules.
+use; the building blocks (goals, single steps) stay importable from
+their own modules.
 """
 
 from .automaton import (LEFTMOST, RIGHTMOST, SetAutomaton, State, Transition,

@@ -81,15 +81,6 @@ def transition_count(a: SetAutomaton) -> int:
     return sum(len(tr.targets) for st in a.states for tr in st.delta.values())
 
 
-def initial_goals(ps: PatternSet) -> frozenset:
-    """One fresh root goal per pattern."""
-    return frozenset(fresh_goal(i, p, ()) for i, p in enumerate(ps.patterns))
-
-
-def initial_state(ps: PatternSet) -> State:
-    return State(label=(), goals=canonical_goals(initial_goals(ps)))
-
-
 def choose_label(members, strategy: str) -> Position:
     """Pick the state's inspection position among root-goal obligations.
 
@@ -257,7 +248,7 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
             pending.append(sid)
         return sid
 
-    intern(frozenset({()}))  # the fresh family at the root: initial_goals(ps)
+    intern(frozenset({()}))  # the initial state: one fresh root goal per pattern
     while pending:
         state = states[pending.popleft()]
         label = state.label

@@ -36,14 +36,6 @@ class Goal:
         """Announces at the root, i.e. drives the label choice of its state."""
         return self.announce == ()
 
-    @property
-    def is_fresh(self) -> bool:
-        """Single obligation at the announcement position itself."""
-        if len(self.obligation) != 1:
-            return False
-        ((_, pos),) = self.obligation
-        return pos == self.announce
-
     def __repr__(self):
         pairs = ", ".join(
             f"{format_term(t)}@{format_position(p)}"

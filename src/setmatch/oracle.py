@@ -9,7 +9,6 @@ with the evaluator beyond the basic term operations.
 
 import random
 
-from .positions import Position
 from .terms import (PatternSet, Signature, Term, WILDCARD, domain, format_term,
                     matches)
 

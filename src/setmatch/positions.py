@@ -9,17 +9,10 @@ positions has a join under this order, the longest common prefix.
 
 Position = tuple[int, ...]
 
-ROOT: Position = ()
-
 
 def prefix_leq(p: Position, q: Position) -> bool:
     """True iff ``q`` is a prefix of ``p``, i.e. p lies at or below q."""
     return p[: len(q)] == q
-
-
-def comparable(p: Position, q: Position) -> bool:
-    """True iff one of the positions is a prefix of the other."""
-    return prefix_leq(p, q) or prefix_leq(q, p)
 
 
 def join(p: Position, q: Position) -> Position:
@@ -50,16 +43,3 @@ def format_position(p: Position) -> str:
     """Dot-separated rendering; the root prints as ``ε``."""
     return ".".join(str(i) for i in p) if p else "ε"
 
-
-def parse_position(text: str) -> Position:
-    """Inverse of :func:`format_position`; also accepts the empty string."""
-    text = text.strip()
-    if text in ("", "ε", "e"):
-        return ()
-    parts = text.split(".")
-    out = []
-    for part in parts:
-        if not part.isdigit() or int(part) < 1:
-            raise ValueError(f"invalid position component {part!r} in {text!r}")
-        out.append(int(part))
-    return tuple(out)

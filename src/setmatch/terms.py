@@ -141,18 +141,6 @@ def format_term(t: Term) -> str:
     return text
 
 
-def term_depth(t: Term) -> int:
-    """Nesting depth in edges; leaves (constants and wildcards) have depth 0."""
-    deepest = 0
-    stack = [(t, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > deepest:
-            deepest = depth
-        stack.extend((c, depth + 1) for c in node.children)
-    return deepest
-
-
 def term_size(t: Term) -> int:
     """Number of nodes, wildcards included."""
     size = 0
@@ -161,16 +149,6 @@ def term_size(t: Term) -> int:
         size += 1
         stack.extend(stack.pop().children)
     return size
-
-
-def contains_wildcard(t: Term) -> bool:
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node.symbol is None:
-            return True
-        stack.extend(node.children)
-    return False
 
 
 class Signature:
@@ -242,7 +220,7 @@ def read_signature(text: str) -> Signature:
         name, sep, arity_text = line.partition("/")
         name = name.strip()
         arity_text = arity_text.strip()
-        if not sep or not arity_text.isdigit():
+        if not sep or not (arity_text.isascii() and arity_text.isdigit()):
             raise SignatureError(f"line {lineno}: expected 'name/arity', got {line!r}")
         try:
             sig.declare(name, int(arity_text))
@@ -444,20 +422,6 @@ class PatternSet:
 
     def texts(self) -> list[str]:
         return [format_term(p) for p in self.patterns]
-
-    def subpatterns(self) -> set[Term]:
-        """Every non-wildcard subterm of every pattern."""
-        out: set[Term] = set()
-        stack = list(self.patterns)
-        while stack:
-            t = stack.pop()
-            if t.symbol is not None:
-                out.add(t)
-                stack.extend(t.children)
-        return out
-
-    def max_depth(self) -> int:
-        return max(term_depth(p) for p in self.patterns)
 
     def __len__(self):
         return len(self.patterns)

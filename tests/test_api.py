@@ -33,14 +33,13 @@ EXPORTED = {
 
 # building blocks kept out of the package namespace, by home module
 MODULE_ONLY = {
-    "automaton": ["choose_label", "derivative", "initial_state", "outputs",
-                  "transition_count"],
+    "automaton": ["choose_label", "derivative", "outputs", "transition_count"],
     "goals": ["Outcome", "canonical_goals", "dependency_partition",
               "fresh_goal", "goal_outcome", "lift_class"],
     "oracle": ["comb_signature"],
-    "positions": ["ROOT", "parse_position"],
+    "positions": ["Position"],
     "serialization": ["SCHEMA_VERSION"],
-    "terms": ["WILDCARD", "term_depth"],
+    "terms": ["WILDCARD"],
 }
 
 USERS = sorted([*(REPO / "perfbench").glob("*.py"), *(REPO / "demos").glob("*.py"),
@@ -122,31 +121,50 @@ def _definitions(path: Path):
                         yield name.id, name.id
 
 
-def _references(path: Path):
-    """The names a Python file reads: loaded names, attributes, imports, and
-    string constants that spell a (dotted) name, as ``__all__`` entries and
-    monkeypatch targets do."""
-    for node in ast.walk(ast.parse(path.read_text())):
+def _references(source: str):
+    """The names a library module reads: loaded names, attributes, imports."""
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and re.fullmatch(r"[\w.]+", node.value):
-            yield from node.value.split(".")
+
+
+def _library_reads(source: str):
+    """The names a user of the library takes from it: those imported from
+    ``setmatch`` and those read as attributes.  A bare name is the user's own."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("setmatch"):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+# References the tests check the system against, which the system itself
+# never calls: ``derivative`` is the paper's goal-by-goal step that every
+# transition of ``build`` is compared with.
+REFERENCES = {"automaton.derivative"}
 
 
 def test_every_definition_of_the_library_is_used():
-    """Each name the library defines is referenced beyond its definition."""
+    """Each name the library defines is read outside the tests: by another
+    part of the library (not the package's re-exports), by a demo or the
+    benchmark, by a site the traced benchmark wraps, or in a README example."""
     defined = {f"{path.stem}.{qualified}": name
                for path in sorted((REPO / "src" / "setmatch").glob("*.py"))
-               for qualified, name in _definitions(path)}
-    used = set(re.findall(r"\w+", (REPO / "README.md").read_text()))
-    for folder in ("src", "tests", "demos", "perfbench"):
-        for path in (REPO / folder).rglob("*.py"):
-            used.update(_references(path))
-    unused = sorted(q for q, name in defined.items() if name not in used)
-    assert len(defined) > 130
-    assert not unused
+               for qualified, name in _definitions(path)
+               if not (name.startswith("__") and name.endswith("__"))}
+    used = {attr for _, attr in _traced_sites()}
+    for path in (REPO / "src" / "setmatch").glob("*.py"):
+        if path.name != "__init__.py":
+            used.update(_references(path.read_text()))
+    for path in [*(REPO / "demos").glob("*.py"), *(REPO / "perfbench").glob("*.py")]:
+        used.update(_library_reads(path.read_text()))
+    for block in re.findall(r"```python\n(.*?)```", (REPO / "README.md").read_text(),
+                            re.S):
+        used.update(_library_reads(block))
+    unused = {q for q, name in defined.items() if name not in used}
+    assert len(defined) > 115
+    assert unused == REFERENCES

@@ -12,15 +12,26 @@ import pytest
 from hypothesis import given, settings
 
 from setmatch import (LEFTMOST, RIGHTMOST, Goal, InvariantError, PatternSet,
-                      Signature, Transition, build, evaluate, from_json,
-                      parse_term, prefix_leq, random_instance,
-                      reachable_position_bound, to_json, verify_automaton)
-from setmatch.automaton import (choose_label, derivative, initial_goals,
-                                initial_state, outputs, transition_count)
+                      Signature, State, Transition, build, domain, evaluate,
+                      from_json, parse_term, prefix_leq, random_instance,
+                      reachable_position_bound, subterm_at, to_json,
+                      verify_automaton)
+from setmatch.automaton import (choose_label, derivative, outputs,
+                                transition_count)
 from setmatch.goals import (Outcome, canonical_goals, dependency_partition,
                             fresh_goal, goal_outcome, goal_sort_key, lift_class)
 
 from conftest import pattern_sets
+
+
+def initial_goals(ps):
+    """The paper's initial goal set: one fresh root goal per pattern."""
+    return frozenset(fresh_goal(i, p, ()) for i, p in enumerate(ps.patterns))
+
+
+def _is_fresh(g):
+    """A single obligation at the announcement position itself."""
+    return len(g.obligation) == 1 and g.positions() == {g.announce}
 
 
 def _goal(sig, pairs, pattern, announce):
@@ -56,19 +67,24 @@ def _expected_nested_states(sig):
     return s0, s1, s2, s3
 
 
+def _built_initial_state(ps):
+    a = build(ps)
+    return a.states[a.initial]
+
+
 def test_initial_state_one_fresh_root_goal_per_pattern(nested_pattern_set,
                                                        assoc_pattern_set):
-    s = initial_state(nested_pattern_set)
+    s = _built_initial_state(nested_pattern_set)
     assert s.label == ()
     assert set(s.goals) == {fresh_goal(0, nested_pattern_set[0], ())}
-    s = initial_state(assoc_pattern_set)
+    s = _built_initial_state(assoc_pattern_set)
     assert set(s.goals) == {fresh_goal(0, assoc_pattern_set[0], ()),
                             fresh_goal(1, assoc_pattern_set[1], ())}
 
 
 def test_initial_state_single_constant():
     ps = PatternSet.from_text("a\n")
-    s = initial_state(ps)
+    s = _built_initial_state(ps)
     assert set(s.goals) == {fresh_goal(0, ps[0], ())} and s.label == ()
 
 
@@ -100,7 +116,6 @@ def test_derivative_three_part_example(sig_fga, nested_pattern_set):
     # observing g at label 2: one goal reduces, one is unchanged, one is
     # discarded, and a fresh goal appears at 2.1
     _, s1_goals, _, _ = _expected_nested_states(sig_fga)
-    from setmatch.automaton import State
     s1 = State(label=(2,), goals=canonical_goals(s1_goals))
     got = set(derivative(s1, sig_fga.symbol("g"), nested_pattern_set))
     l = "f(f(_,g(_)),g(_))"
@@ -115,21 +130,19 @@ def test_derivative_on_constant_can_be_empty():
     ps = PatternSet.from_text("f(f(_,_),_)\n")
     sig = ps.signature
     sig.declare("a", 0)
-    s = initial_state(ps)
+    s = State(label=(), goals=canonical_goals(initial_goals(ps)))
     assert derivative(s, sig.symbol("a"), ps) == []
 
 
 def test_derivative_reaches_the_doubly_nested_state(sig_fga,
                                                     nested_pattern_set):
     _, _, s2_goals, s3_goals = _expected_nested_states(sig_fga)
-    from setmatch.automaton import State
     s2 = State(label=(1,), goals=canonical_goals(s2_goals))
     got = derivative(s2, sig_fga.symbol("f"), nested_pattern_set)
     assert frozenset(got) == s3_goals
 
 
 def test_outputs_of_doubly_nested_state(sig_fga, nested_pattern_set):
-    from setmatch.automaton import State
     _, _, _, s3_goals = _expected_nested_states(sig_fga)
     s3 = State(label=(1, 2), goals=canonical_goals(s3_goals))
     assert outputs(s3, sig_fga.symbol("g")) == ((0, ()),)
@@ -343,7 +356,7 @@ PINNED_COMPILE_DIGEST = (
 
 def _label_survivors(state, symbol, ps):
     """Non-fresh goals of ``state`` that watch its label and survive ``symbol``."""
-    return [g for g in state.goals if not g.is_fresh
+    return [g for g in state.goals if not _is_fresh(g)
             and goal_outcome(g, symbol, state.label)[0] is Outcome.REDUCED]
 
 
@@ -355,7 +368,7 @@ def test_compiled_output_is_pinned():
             ps, _ = random_instance(seed, profile=profile,
                                     pattern_count=1 + seed % 6,
                                     pattern_depth=2 + seed % 3)
-            used = {t.symbol for t in ps.subpatterns()}
+            used = {subterm_at(p, q).symbol for p in ps for q in domain(p)} - {None}
             mentioned[len(used) < len(ps.signature), 3 in {s.arity for s in used}] += 1
             for strategy in (LEFTMOST, RIGHTMOST):
                 a = build(ps, strategy)
@@ -472,7 +485,7 @@ def test_verify_rejects_dropped_fresh_goal(nested_pattern_set, monkeypatch):
     a = from_json(to_json(build(nested_pattern_set)))
 
     def drop(s):
-        s.goals = tuple(g for g in s.goals if not (g.is_fresh and g.announce == (1,)))
+        s.goals = tuple(g for g in s.goals if not (_is_fresh(g) and g.announce == (1,)))
     _tamper_rebuild(monkeypatch, drop)
     with pytest.raises(InvariantError, match="missing fresh goal"):
         verify_automaton(a)

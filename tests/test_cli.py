@@ -87,7 +87,9 @@ def test_compile_missing_file_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("kind, stdin, message", [
     ("patterns", "f(a,\n", "line 1, offset 4: expected a term"),
     ("signature", "f/x\n", "line 1: expected 'name/arity', got 'f/x'"),
-], ids=["patterns", "signature"])
+    ("signature", "a/\u00b3\n", "line 1: expected 'name/arity', got 'a/\u00b3'"),
+    ("signature", "a/\u0663\n", "line 1: expected 'name/arity', got 'a/\u0663'"),
+], ids=["patterns", "signature", "superscript-arity", "arabic-indic-arity"])
 def test_compile_errors_on_stdin_name_stdin(tmp_path, capsys, monkeypatch, kind,
                                             stdin, message):
     good = tmp_path / "good.patterns"

@@ -45,8 +45,8 @@ def test_non_matching_constant_is_one_inspection(nested_automaton, sig_fga):
     assert report.inspected == ((),)
 
 
-def test_count_inspections_requires_instrumentation(nested_automaton,
-                                                    nested_subject):
+def test_uninstrumented_run_records_no_positions(nested_automaton,
+                                                 nested_subject):
     report = evaluate(nested_automaton, nested_subject)
     assert report.inspected is None
 

@@ -256,6 +256,6 @@ def test_canonical_goals_sorts_deterministically(sig_fga, nested_pattern_set):
 def test_fresh_and_root_flags(nested_pattern_set):
     pat = nested_pattern_set[0]
     root = fresh_goal(0, pat, ())
-    assert root.is_root and root.is_fresh
+    assert root.is_root and root.obligation == {(pat, ())}
     deep = fresh_goal(0, pat, (2, 1))
-    assert deep.is_fresh and not deep.is_root
+    assert not deep.is_root and deep.obligation == {(pat, (2, 1))}

@@ -10,7 +10,26 @@ from setmatch import (brute_force_matches, comb_pattern, comb_pattern_set,
 from setmatch.oracle import (DEFAULT_PROFILE, comb_signature,
                              profile_signature, random_pattern,
                              random_pattern_set, random_subject)
-from setmatch.terms import contains_wildcard, term_depth
+
+
+def term_depth(t):
+    """Nesting depth in edges, without recursion: subjects run 10^5 deep."""
+    deepest, stack = 0, [(t, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((c, depth + 1) for c in node.children)
+    return deepest
+
+
+def contains_wildcard(t):
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node.symbol is None:
+            return True
+        stack.extend(node.children)
+    return False
 
 
 def test_brute_force_on_rotation_instance(assoc_pattern_set, assoc_subject):

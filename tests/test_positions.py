@@ -11,32 +11,27 @@ import pytest
 from hypothesis import given
 
 from setmatch import format_position, gcp, join, prefix_leq
-from setmatch.positions import ROOT, comparable, parse_position
 
 from conftest import position_sets, positions
-
-
-def test_root_is_empty():
-    assert ROOT == ()
 
 
 def test_prefix_examples():
     assert prefix_leq((1, 2), (1,))
     assert not prefix_leq((1,), (1, 2))
     assert prefix_leq((2, 1), (2, 1))
-    assert prefix_leq((3, 1, 2), ROOT)
-    assert prefix_leq(ROOT, ROOT)
+    assert prefix_leq((3, 1, 2), ())
+    assert prefix_leq((), ())
 
 
 def test_join_examples():
-    assert join((1,), ROOT) == ROOT
+    assert join((1,), ()) == ()
     assert join((1, 2, 1), (1, 2, 3)) == (1, 2)
-    assert join((2,), (1,)) == ROOT
+    assert join((2,), (1,)) == ()
     assert join((1, 2), (1, 2)) == (1, 2)
 
 
 def test_gcp_examples():
-    assert gcp({(1,), ROOT}) == ROOT
+    assert gcp({(1,), ()}) == ()
     assert gcp({(2, 1)}) == (2, 1)
     assert gcp({(1, 2, 1), (1, 2, 3), (1, 5)}) == (1,)
 
@@ -47,25 +42,9 @@ def test_gcp_rejects_empty():
 
 
 def test_format():
-    assert format_position(ROOT) == "ε"
+    assert format_position(()) == "ε"
     assert format_position((1,)) == "1"
     assert format_position((1, 2, 1)) == "1.2.1"
-
-
-def test_parse():
-    assert parse_position("") == ROOT
-    assert parse_position("ε") == ROOT
-    assert parse_position("e") == ROOT
-    assert parse_position("1.2.1") == (1, 2, 1)
-    with pytest.raises(ValueError):
-        parse_position("1.0")
-    with pytest.raises(ValueError):
-        parse_position("1.x")
-
-
-@given(positions)
-def test_parse_format_round_trip(p):
-    assert parse_position(format_position(p)) == p
 
 
 @given(positions)
@@ -100,7 +79,7 @@ def test_extension_is_strictly_lower(p, q):
 @given(positions, positions, positions)
 def test_prefixes_of_one_position_are_comparable(p, q, r):
     if prefix_leq(p, q) and prefix_leq(p, r):
-        assert comparable(q, r)
+        assert prefix_leq(q, r) or prefix_leq(r, q)
 
 
 @given(positions, positions)
