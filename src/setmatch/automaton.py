@@ -69,11 +69,14 @@ class _BuiltState(State):
 
 @dataclass
 class SetAutomaton:
-    signature: Signature
     patterns: PatternSet
     label_strategy: str
     states: list[State]
     initial: int = 0
+
+    @property
+    def signature(self) -> Signature:
+        return self.patterns.signature
 
 
 def transition_count(a: SetAutomaton) -> int:
@@ -267,8 +270,7 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
             _order_targets(entries, patterns)
             state.delta[symbol.name] = Transition(tuple(sorted(completed)), tuple(
                 (intern(key), shift) for shift, key in entries))
-    return SetAutomaton(signature=sig, patterns=ps, label_strategy=label_strategy,
-                        states=states)
+    return SetAutomaton(patterns=ps, label_strategy=label_strategy, states=states)
 
 
 def reachable_position_bound(ps: PatternSet) -> set[Position]:

@@ -5,7 +5,8 @@ term against a compiled automaton, ``export-dot`` for Graphviz output,
 ``bench`` for the state counts of a pattern family, and ``gen`` for
 reproducible random instances.  Exit codes: 0 on success, 1 when a
 requested verification fails, 2 on usage or input errors, with a one-line
-``error:`` message and no traceback for any error of this package.
+``error:`` message and no traceback for any error of this package or an
+input too large for memory.
 """
 
 import argparse
@@ -31,6 +32,10 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (SetMatchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: the input is too large for this machine",
+              file=sys.stderr)
         return 2
 
 

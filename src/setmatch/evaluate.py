@@ -1,33 +1,35 @@
 """Run a compiled automaton over a closed subject term.
 
-The unit of work is a (state, pointer, subterm) item, the subterm being the
-subject node at the pointer.  Processing an item inspects exactly one
-subject symbol, the one at pointer + state label, announces the
-transition's outputs shifted by the pointer, and enqueues one child item per
-target.  Every subject position is inspected exactly once over the whole
-run, and the order in which the work set is drained (LIFO, FIFO, or shares
-dealt to threads) changes nothing about the reported match set.
+The unit of work is the paper's (state, pointer) item.  Processing an item
+inspects exactly one subject symbol, the one at pointer + state label,
+announces the transition's outputs shifted by the pointer, and enqueues one
+child item per target.  Every subject position is inspected exactly once
+over the whole run, so a run that needs more items than the subject has
+nodes has met a damaged automaton and raises ``InvariantError``; the
+subject is measured only once a run passes SIZE_CHECK_AFTER items.  The
+order in which the work set is drained (LIFO, FIFO, or shares dealt to
+threads) changes nothing about the reported match set.
 
-A pointer is a parent-linked cell ``[parent cell, shift, position or
-None]``, shared with the parent when the shift is empty.  Its position
+A pointer is a parent-linked cell ``[parent cell, shift, position or None,
+subterm]``, shared with the parent when the shift is empty.  Its position
 tuple is built only for a cell whose item announces a match, so one run
 costs time linear in the subject plus the size of its matches.  A match
-position below a pointer is built and kept once per run (once per thread
-under ``Parallel``), however many patterns match there.
+position below a pointer is built and kept once per drain: once per run up
+to SIZE_CHECK_AFTER items, and once per thread under ``Parallel``.
 """
 
-import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 from .automaton import SetAutomaton
 from .errors import InvariantError, SubjectError
 from .positions import Position, format_position
-from .terms import Term
+from .terms import Term, term_size
 
 MAX_WORKERS = 64
+SIZE_CHECK_AFTER = 4096  # items a run drains before it measures its subject
 
 
 @dataclass(frozen=True)
@@ -75,16 +77,16 @@ def evaluate(a: SetAutomaton, subject: Term, strategy=DepthFirst(), *,
     The strategy only fixes how the work set is drained.  ``instrument``
     records every inspected position; it builds one position tuple per
     subject node, so it is a debugging aid, quadratic in the depth of the
-    subject.  ``carry_subterms`` is accepted and ignored: every work item
-    carries its subterm.
+    subject.  ``carry_subterms`` is accepted and ignored: every pointer
+    holds its subterm.  Raises ``InvariantError`` when the run needs more
+    work items than the subject has nodes.
     """
     log: list | None = [] if instrument else None
     matches: list = []
     if isinstance(strategy, Parallel):
         count = _parallel(a, subject, strategy.workers, matches, log)
     elif isinstance(strategy, (DepthFirst, BreadthFirst)):
-        count = _drain(a, _root(a, subject), isinstance(strategy, BreadthFirst),
-                       matches, log)
+        count = _run(a, subject, isinstance(strategy, BreadthFirst), matches, log)
     else:
         raise TypeError(f"unknown strategy {strategy!r}")
     found = frozenset(matches)
@@ -97,17 +99,30 @@ def evaluate(a: SetAutomaton, subject: Term, strategy=DepthFirst(), *,
 
 def _root(a: SetAutomaton, subject: Term) -> deque:
     """A work set holding the initial item: the initial state at the root."""
-    return deque([(a.initial, [None, (), ()], subject, -1)])
+    return deque([(a.initial, [None, (), (), subject])])
 
 
-def _drain(a, work, fifo, matches, log, until=sys.maxsize) -> int:
-    """Process items of ``work`` until it is empty or holds ``until`` items.
+def _run(a, subject, fifo, matches, log) -> int:
+    """Drain a run from the root, at most one item per subject node; the
+    subject is measured only when the run passes SIZE_CHECK_AFTER items."""
+    work = _root(a, subject)
+    done = _drain(a, work, fifo, matches, log, SIZE_CHECK_AFTER)
+    if work:
+        size = term_size(subject)
+        done += _drain(a, work, fifo, matches, log, size - done)
+        if work:
+            raise _overrun(size)
+    return done
+
+
+def _drain(a, work, fifo, matches, log, limit) -> int:
+    """Process (state id, pointer cell) items of ``work`` until it is empty
+    or ``limit`` items are done.
 
     Appends announcements to ``matches``, building each position below a
     pointer once per call, and, when ``log`` is a list, one (state id,
-    pointer, parent item index) entry per item; the index counts items of
-    this call, so it names the parent only in a drain from the root.
-    Returns the number of items processed.
+    pointer, fan-out) entry per item.  Returns the number of items
+    processed; the callers hold that number to the subject's node count.
     """
     states = a.states
     known = a.signature._by_name.get
@@ -115,14 +130,14 @@ def _drain(a, work, fifo, matches, log, until=sys.maxsize) -> int:
     push = work.append
     shared: dict = {}
     done = 0
-    while 0 < len(work) < until:
-        sid, cell, here, parent = pop()
+    while work and done < limit:
+        sid, cell = pop()
         state = states[sid]
-        node = here
+        node = here = cell[3]
         for i in state.label:
             kids = node.children
             if i < 1 or i > len(kids):
-                raise _off_subject(cell, here, state.label)
+                raise _off_subject(cell, state.label)
             node = kids[i - 1]
         sym = node.symbol
         if sym is None:
@@ -137,7 +152,7 @@ def _drain(a, work, fifo, matches, log, until=sys.maxsize) -> int:
         if tr is None:
             raise InvariantError(f"state {sid} has no transition for '{name}'")
         if log is not None:
-            log.append((sid, _position(cell), parent))
+            log.append((sid, _position(cell), len(tr.targets)))
         if tr.outputs:
             at = cell[2] or _position(cell)
             for pid, rel in tr.outputs:
@@ -153,11 +168,11 @@ def _drain(a, work, fifo, matches, log, until=sys.maxsize) -> int:
                 for i in shift:
                     kids = sub.children
                     if i < 1 or i > len(kids):
-                        raise _off_subject(cell, here, shift)
+                        raise _off_subject(cell, shift)
                     sub = kids[i - 1]
-                push((tid, [cell, shift, None], sub, done))
+                push((tid, [cell, shift, None, sub]))
             else:
-                push((tid, cell, here, done))
+                push((tid, cell))
         done += 1
     return done
 
@@ -177,9 +192,9 @@ def _position(cell) -> Position:
     return cell[2]
 
 
-def _off_subject(cell, here: Term, path: Position) -> InvariantError:
+def _off_subject(cell, path: Position) -> InvariantError:
     """The error for a label or shift that walks off the subject."""
-    k = 0
+    here, k = cell[3], 0
     while 0 < path[k] <= len(here.children):
         here = here.children[path[k] - 1]
         k += 1
@@ -188,23 +203,37 @@ def _off_subject(cell, here: Term, path: Position) -> InvariantError:
         "the automaton and the subject disagree")
 
 
+def _overrun(size: int) -> InvariantError:
+    """The error for a run that needs more items than the subject has nodes."""
+    return InvariantError(
+        f"the automaton needs more than one work item per subject node "
+        f"({size} nodes); it is not a set automaton for this subject")
+
+
 def _parallel(a, subject, workers, matches, log) -> int:
-    """Drain FIFO until ``workers`` items wait, then deal them to threads."""
+    """Drain ``workers`` items FIFO, then deal the waiting ones to threads.
+
+    Each share may take one item more than the nodes left uninspected, so
+    a run past one item per node shows in the total.
+    """
+    size = term_size(subject)
     work = _root(a, subject)
-    done = _drain(a, work, True, matches, log, until=workers)
+    done = _drain(a, work, True, matches, log, workers)
     if not work:
         return done
     items = list(work)
     shares = [(deque(items[k::workers]), [], None if log is None else [])
               for k in range(workers)]
     with ThreadPoolExecutor(workers, thread_name_prefix="setmatch-eval") as pool:
-        runs = [pool.submit(_drain, a, share, False, found, seen)
+        runs = [pool.submit(_drain, a, share, False, found, seen, size + 1 - done)
                 for share, found, seen in shares]
     for run, (_, found, seen) in zip(runs, shares):
         done += run.result()  # re-raises the first failure, in share order
         matches.extend(found)
         if log is not None:
             log.extend(seen)
+    if done > size:
+        raise _overrun(size)
     return done
 
 
@@ -220,15 +249,16 @@ class EvalNode:
 def evaluation_tree(a: SetAutomaton, subject: Term) -> EvalNode:
     """The explicit tree of work items rooted at (initial state, root).
 
-    Built from a breadth-first instrumented run, so every node's children
-    come in the order of its transition's targets.
+    Built from a breadth-first instrumented run: a FIFO run processes each
+    item's children right after the children of the items before it, so
+    every node's children come in the order of its transition's targets.
     """
     log: list = []
-    _drain(a, _root(a, subject), True, [], log)
+    _run(a, subject, True, [], log)
     nodes = [EvalNode(sid, pointer, []) for sid, pointer, _ in log]
-    for node, (_, _, parent) in zip(nodes, log):
-        if parent >= 0:
-            nodes[parent].children.append(node)
+    rest = iter(nodes[1:])
+    for node, (_, _, fanout) in zip(nodes, log):
+        node.children.extend(islice(rest, fanout))
     return nodes[0]
 
 

@@ -161,10 +161,6 @@ def lift_class(members) -> tuple[list[Member], Position]:
         if not isinstance(m, Goal):
             lifted.append(m[cut:])  # extends the shift: it took part in the gcp
             continue
-        if not prefix_leq(m.announce, shift):
-            raise InvariantError(
-                f"announcement {format_position(m.announce)} does not extend "
-                f"shift {format_position(shift)}")
         pairs = []
         for term, pos in m.obligation:
             if not prefix_leq(pos, shift):

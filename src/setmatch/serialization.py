@@ -164,8 +164,8 @@ def from_json(text: str) -> SetAutomaton:
             delta[name] = Transition(outputs=tuple(outs), targets=tuple(tgts))
         states.append(State(label=label, goals=None, delta=delta))
 
-    return SetAutomaton(signature=sig, patterns=patterns, label_strategy=strategy,
-                        states=states, initial=initial)
+    return SetAutomaton(patterns=patterns, label_strategy=strategy, states=states,
+                        initial=initial)
 
 
 def _path(keys) -> str:

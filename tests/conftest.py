@@ -1,9 +1,15 @@
 """Shared fixtures and hypothesis strategies for the test suite."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import strategies as st
 
-from setmatch import PatternSet, Signature, Term, build, parse_term
+import setmatch
+from setmatch import PatternSet, Signature, Term, build, parse_term, to_json
 from setmatch.terms import WILDCARD
 
 positions = st.lists(st.integers(min_value=1, max_value=4),
@@ -110,3 +116,44 @@ def pattern_sets(draw, max_count: int = 4) -> PatternSet:
             seen.add(text)
             out.append(p)
     return PatternSet(out, _fga())
+
+
+def _damaged(patterns: str, edit) -> str:
+    """The document of ``patterns``, compiled and then changed by ``edit``."""
+    doc = json.loads(to_json(build(PatternSet.from_text(patterns))))
+    edit(doc["states"])
+    return json.dumps(doc)
+
+
+def _self_loop(states):
+    states[1]["delta"]["a"]["targets"] = [{"state": 1, "shift": []}]
+
+
+def _doubling(states):
+    states[0]["delta"]["g"]["targets"] = [{"state": 0, "shift": [1]},
+                                          {"state": 1, "shift": [1]}]
+    states[1]["label"] = []
+    states[1]["delta"]["g"]["targets"] = [{"state": 0, "shift": []}]
+
+
+# Hand-edited documents whose runs, unbounded, never end: name -> (automaton
+# JSON, subject).  The first re-queues one item at the same pointer forever;
+# the second has no empty-shift cycle, yet doubles its items at every level.
+HANG_REPRODUCERS = {
+    "self_loop": (_damaged("f(_,a)\n", _self_loop), "f(a,a)"),
+    "doubling": (_damaged("g(a)\n", _doubling), "g(" * 40 + "a" + ")" * 40),
+}
+
+
+def run_limited(args, cwd, memory=256 << 20, timeout=60, **kwargs):
+    """Run ``python args`` against this package with at most ``memory`` bytes
+    of address space, so that a run without end fails instead of hanging."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    package_root = os.path.dirname(os.path.dirname(os.path.realpath(setmatch.__file__)))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          cwd=cwd, env=dict(os.environ, PYTHONPATH=package_root),
+                          preexec_fn=limit, timeout=timeout, **kwargs)

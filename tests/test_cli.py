@@ -12,6 +12,8 @@ import setmatch
 from setmatch import from_json
 from setmatch.cli import main
 
+from conftest import HANG_REPRODUCERS, run_limited
+
 NESTED = "f(f(_, g(_)), g(_))\n"
 ROTATION = "f(f(_, _), _)\nf(_, f(_, _))\n"
 
@@ -309,6 +311,35 @@ def test_match_reports_a_broken_automaton_in_one_line(compiled, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "disagree" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("strategy", ["depth-first", "breadth-first"])
+@pytest.mark.parametrize("name", sorted(HANG_REPRODUCERS))
+def test_match_on_an_automaton_without_a_bounded_run_is_a_one_line_error(
+        tmp_path, name, strategy):
+    # in a child with 256 MiB of address space, so that an unbounded run
+    # fails this test instead of hanging it
+    doc, subject = HANG_REPRODUCERS[name]
+    (tmp_path / "bad.json").write_text(doc)
+    (tmp_path / "t.term").write_text(subject + "\n")
+    r = run_limited(["-m", "setmatch.cli", "match", "--automaton", "bad.json",
+                     "--term", "t.term", "--strategy", strategy], tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: the automaton needs more than one work "
+                               "item per subject node")
+    assert len(r.stderr.splitlines()) == 1
+
+
+def test_input_too_large_for_memory_is_a_one_line_error(tmp_path):
+    # one child position per argument of h: more than 1 GiB holds
+    (tmp_path / "p.patterns").write_text("f(_,a)\n")
+    (tmp_path / "s.sig").write_text("f/2\na/0\nh/100000000\n")
+    r = run_limited(["-m", "setmatch.cli", "compile", "--patterns", "p.patterns",
+                     "--signature", "s.sig", "--out", "a.json"], tmp_path,
+                    memory=1 << 30)
+    assert r.returncode == 2
+    assert r.stderr == "error: out of memory: the input is too large for this machine\n"
 
 
 @pytest.mark.parametrize("kind", ["patterns", "signature", "automaton", "term",

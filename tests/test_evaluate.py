@@ -1,5 +1,6 @@
 """Evaluator: strategies, instrumentation, the work-item tree."""
 
+import json
 import random
 import sys
 import threading
@@ -11,11 +12,11 @@ from setmatch import (LEFTMOST, RIGHTMOST, BreadthFirst, DepthFirst,
                       InvariantError, Parallel, PatternSet, Signature,
                       SubjectError, Term, build, brute_force_matches,
                       comb_pattern, domain, evaluate, evaluation_tree,
-                      matches, parse_term, subterm_at, tree_nodes)
+                      matches, parse_term, subterm_at, term_size, tree_nodes)
 from setmatch.automaton import Transition
 from setmatch.evaluate import MAX_WORKERS
 
-from conftest import subject_terms
+from conftest import HANG_REPRODUCERS, run_limited, subject_terms
 
 ALL_STRATEGIES = (DepthFirst(), BreadthFirst(), Parallel(2), Parallel(4))
 
@@ -189,6 +190,66 @@ def test_failure_inside_a_worker_is_reraised(nested_automaton, sig_fga):
     for strategy in (Parallel(2), Parallel(4)):
         with pytest.raises(SubjectError):
             evaluate(nested_automaton, t, strategy)
+
+
+# Runs every evaluation path on a damaged automaton read from stdin and
+# prints, per path, how it ended.
+BOUNDED_PATHS = """
+import json, sys
+from setmatch import (BreadthFirst, DepthFirst, InvariantError, Parallel,
+                      evaluate, evaluation_tree, from_json, parse_term)
+doc, text = json.load(sys.stdin)
+a = from_json(doc)
+subject = parse_term(text, a.signature)
+for name, run in [
+        ("depth-first", lambda: evaluate(a, subject, DepthFirst())),
+        ("breadth-first", lambda: evaluate(a, subject, BreadthFirst())),
+        ("instrumented", lambda: evaluate(a, subject, instrument=True)),
+        ("parallel-2", lambda: evaluate(a, subject, Parallel(2))),
+        ("parallel-4", lambda: evaluate(a, subject, Parallel(4))),
+        ("tree", lambda: evaluation_tree(a, subject))]:
+    try:
+        run()
+        print(name, "returned")
+    except InvariantError as e:
+        print(name, e)
+"""
+
+
+@pytest.mark.parametrize("name", sorted(HANG_REPRODUCERS))
+def test_damaged_automaton_runs_at_most_one_item_per_node(name, tmp_path):
+    # in a child with 256 MiB of address space, so that an unbounded run
+    # fails this test instead of hanging it
+    r = run_limited(["-c", BOUNDED_PATHS], tmp_path,
+                    input=json.dumps(HANG_REPRODUCERS[name]))
+    assert r.returncode == 0, r.stderr
+    size = {"self_loop": 3, "doubling": 41}[name]
+    error = ("the automaton needs more than one work item per subject node "
+             f"({size} nodes); it is not a set automaton for this subject")
+    assert r.stdout.splitlines() == [
+        f"{path} {error}" for path in ("depth-first", "breadth-first", "instrumented",
+                                       "parallel-2", "parallel-4", "tree")]
+
+
+def test_bound_measures_only_a_long_run(nested_automaton, monkeypatch):
+    # a run of at most SIZE_CHECK_AFTER items never walks its subject; the
+    # package's ``evaluate`` function hides the module of that name
+    ev = sys.modules["setmatch.evaluate"]
+
+    def walk(term):
+        walks.append(term)
+        return term_size(term)
+
+    walks: list = []
+    monkeypatch.setattr(ev, "term_size", walk)
+    small = _left_comb(nested_automaton.signature, 100)
+    assert evaluate(nested_automaton, small).node_count == 201
+    assert walks == []
+    large = _left_comb(nested_automaton.signature, ev.SIZE_CHECK_AFTER)
+    for strategy in (DepthFirst(), BreadthFirst()):
+        assert evaluate(nested_automaton, large, strategy).node_count \
+            == 2 * ev.SIZE_CHECK_AFTER + 1
+    assert walks == [large, large]
 
 
 def _phi(a, node):
