@@ -209,8 +209,8 @@ def _order_targets(entries: list, patterns) -> None:
     """Sort a transition's (shift, key) entries as their full goal sets sort.
 
     That order is by shift, then by the canonical goal order; two targets
-    of one transition rarely share a shift, so the goal order, which formats
-    every obligation term, is computed only when they do.
+    of one transition rarely share a shift, so the goal order, which expands
+    every fresh family, is computed only when they do.
     """
     if len(entries) < 2 or len({shift for shift, _ in entries}) == len(entries):
         entries.sort(key=itemgetter(0))

@@ -173,8 +173,9 @@ def lift_class(members) -> tuple[list[Member], Position]:
 
 
 def goal_sort_key(g: Goal):
-    ob = tuple(sorted((pos, format_term(term)) for term, pos in g.obligation))
-    return (g.announce, g.pattern, ob)
+    # In a goal of pattern p announced at A, the term at position q is the
+    # subterm of p at q[len(A):], so positions order goals as terms would.
+    return g.announce, g.pattern, tuple(sorted(pos for _, pos in g.obligation))
 
 
 def canonical_goals(goals) -> tuple[Goal, ...]:

@@ -168,3 +168,21 @@ def test_every_definition_of_the_library_is_used():
     unused = {q for q, name in defined.items() if name not in used}
     assert len(defined) > 115
     assert unused == REFERENCES
+
+
+THREAD_MODULES = {"threading", "_thread", "concurrent", "multiprocessing"}
+
+
+def test_the_library_starts_no_thread():
+    """The paper's parallelism is the independence of work items, not a
+    thread: no library module imports a thread or process module."""
+    for path in sorted((REPO / "src" / "setmatch").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in THREAD_MODULES, f"{path.name}: {name}"

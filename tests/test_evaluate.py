@@ -91,7 +91,7 @@ def test_parallel_needs_a_worker(nested_automaton, nested_subject):
 
 def test_parallel_worker_cap_starts_no_thread():
     before = threading.active_count()
-    for workers in (10 ** 9, MAX_WORKERS + 1, -1):
+    for workers in (10 ** 9, MAX_WORKERS + 1, -1, 2.5, "2"):
         with pytest.raises(ValueError):
             Parallel(workers)
     assert threading.active_count() == before
@@ -157,31 +157,26 @@ def test_duplicate_announcement_raises(assoc_pattern_set, assoc_subject):
             evaluate(a, assoc_subject, strategy)
 
 
-def test_parallel_under_fast_thread_switching(assoc_automaton,
-                                             assoc_signature):
-    # more threads than cores, switching every microsecond: the threads
-    # share the pointer cells of the dealt frontier and fill in their
-    # positions, so a lost or torn update would change the match set
+def test_parallel_is_an_order_witness(assoc_automaton, assoc_signature):
+    # the dealt shares inspect the nodes in an order of their own, and
+    # find the same matches
     f = assoc_signature.symbol("f")
     t = parse_term("a", assoc_signature)
     for _ in range(8):
         t = Term(f, (t, t))
     expected = brute_force_matches(assoc_automaton.patterns, t)
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            report = evaluate(assoc_automaton, t, Parallel(8))
-            assert report.matches == expected
-            assert report.node_count == 2 ** 9 - 1
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(th.name.startswith("setmatch-eval")
-                   for th in threading.enumerate())
+    orders = []
+    for strategy in (DepthFirst(), BreadthFirst(), Parallel(2), Parallel(8)):
+        report = evaluate(assoc_automaton, t, strategy, instrument=True)
+        assert report.matches == expected
+        assert report.node_count == 2 ** 9 - 1
+        orders.append(report.inspected)
+    assert len(set(orders)) == 4
+    assert len({tuple(sorted(order)) for order in orders}) == 1
 
 
-def test_failure_inside_a_worker_is_reraised(nested_automaton, sig_fga):
-    # the foreign leaf sits far below the frontier dealt to the threads
+def test_failure_inside_a_share_is_raised(nested_automaton, sig_fga):
+    # the foreign leaf sits far below the frontier dealt into shares
     f, g = sig_fga.symbol("f"), sig_fga.symbol("g")
     zzz = Signature().declare("zzz", 0)
     t = Term(zzz)
@@ -364,14 +359,19 @@ def _spine(sig, depth, comb, rng):
 @pytest.mark.parametrize("comb", (True, False), ids=("comb", "mixed"))
 def test_matches_at_one_position_share_its_tuple(label_strategy, comb):
     # t1..t8 all match at most spine nodes of a comb; the positions below
-    # a pointer are built once per run, so each position has at most two
-    # tuples: the pointer's own and the shared one
+    # a pointer are built once per run, also past SIZE_CHECK_AFTER items,
+    # so each position has at most two tuples: the pointer's own and the
+    # shared one
     sig = Signature((("f", 2), ("g", 1), ("a", 0), ("b", 0)))
     ps = PatternSet(tuple(comb_pattern(n, sig) for n in range(1, 9)), sig)
     a = build(ps, label_strategy)
-    t = _spine(sig, 150, comb, random.Random(14))
-    expected = brute_force_matches(ps, t)
-    for strategy in (DepthFirst(), BreadthFirst()):
-        m = evaluate(a, t, strategy).matches
-        assert m == expected
-        assert len({id(p) for _, p in m}) <= 2 * len({p for _, p in m})
+    for depth in (150, 1400):
+        t = _spine(sig, depth, comb, random.Random(14))
+        expected = brute_force_matches(ps, t)
+        for strategy in (DepthFirst(), BreadthFirst(), Parallel(2)):
+            m = evaluate(a, t, strategy).matches
+            assert m == expected
+            tuples: dict = {}
+            for _, p in m:
+                tuples.setdefault(p, set()).add(id(p))
+            assert max(map(len, tuples.values())) <= 2
