@@ -14,7 +14,13 @@ A pointer is a parent-linked cell ``[parent cell, shift, position or None,
 subterm]``, shared with the parent when the shift is empty.  Its position
 tuple is built only for a cell whose item announces a match, so one run
 costs time linear in the subject plus the size of its matches.  A match
-position below a pointer is built and kept once per run.
+position below a pointer is kept once per run in one table.  Below a
+pointer position shorter than LONG, a match position is built whole, then
+looked up.  Below a longer one, it is reached from the pointer's position
+through a per-run step trie, one dict lookup per step of the output's
+relative position, and built, one step at a time, only the first time the
+run reaches it.  Every position of LONG steps or more, a pointer's or a
+match's, is then one tuple in the whole run.
 """
 
 from collections import deque
@@ -28,6 +34,14 @@ from .terms import Term, term_size
 
 MAX_WORKERS = 64  # below SIZE_CHECK_AFTER, so the FIFO prefix of Parallel needs no bound
 SIZE_CHECK_AFTER = 4096  # items a run drains before it measures its subject
+# A repeat announcement costs the whole-tuple path about 170 ns + 10 ns per
+# step of the position, and the step trie about 110 ns + 130 ns per step of
+# rel (CPython 3.11, 2-vCPU VM): the trie breaks even at about 16 steps for
+# a 2-step rel, 56 for 4 and 96 for 7.  A first announcement costs the trie
+# one concatenation per step of rel, 1.3x to 8x the whole path.  At 64 no
+# match of the ``corpus`` (deepest 37) or ``scan`` (deepest 51) benchmark
+# workloads takes the trie, and 0.86 of ``deep``'s (seed 101) do.
+LONG = 64
 
 
 @dataclass(frozen=True)
@@ -56,7 +70,7 @@ class Parallel:
     workers: int = 4
 
     def __post_init__(self):
-        if not isinstance(self.workers, int) or not 1 <= self.workers <= MAX_WORKERS:
+        if type(self.workers) is not int or not 1 <= self.workers <= MAX_WORKERS:
             raise ValueError(f"Parallel needs 1 to {MAX_WORKERS} workers, "
                              f"not {self.workers!r}")
 
@@ -66,7 +80,9 @@ class MatchReport:
     """What one evaluation produced.
 
     ``matches`` holds absolute (pattern id, position) pairs; the matches at
-    one position below a pointer share one position tuple.  ``node_count``
+    one position below a pointer share one position tuple, and a position
+    at least LONG steps deep has one tuple in the whole run, the pointer's
+    own included.  ``node_count``
     is the number of work items processed, which equals the number of
     subject positions inspected.  ``inspected`` lists every inspected
     position when the run was instrumented, in processing order.
@@ -112,28 +128,39 @@ def _run(a, subject, strategy, matches, log) -> int:
     work = deque([(a.initial, [None, (), (), subject])])
     fifo = isinstance(strategy, BreadthFirst)
     shared: dict = {}
+    # Liveness: every tuple whose id keys ``below`` is a value of ``shared``,
+    # so it lives as long as the run and its id is never reused.  Only a
+    # pointer position shorter than LONG stays out of ``shared``, and it
+    # never keys ``below``.
+    below: dict = {}
     done = 0
     if isinstance(strategy, Parallel):
         n = strategy.workers
-        done = _drain(a, work, True, matches, log, shared, n)
+        done = _drain(a, work, True, matches, log, shared, below, n)
         items = list(work)
         work = deque(chain.from_iterable(items[k::n] for k in reversed(range(n))))
-    done += _drain(a, work, fifo, matches, log, shared, SIZE_CHECK_AFTER - done)
+    done += _drain(a, work, fifo, matches, log, shared, below,
+                   SIZE_CHECK_AFTER - done)
     if work:
         size = term_size(subject)
-        done += _drain(a, work, fifo, matches, log, shared, size - done)
+        done += _drain(a, work, fifo, matches, log, shared, below, size - done)
         if work:
             raise _overrun(size)
     return done
 
 
-def _drain(a, work, fifo, matches, log, shared, limit) -> int:
+def _drain(a, work, fifo, matches, log, shared, below, limit) -> int:
     """Process (state id, pointer cell) items of ``work`` until it is empty
     or ``limit`` items are done.
 
     Appends announcements to ``matches``, keeping each position below a
     pointer once in ``shared``, and, when ``log`` is a list, one (state id,
-    pointer, fan-out) entry per item.  Returns the number of items
+    pointer, fan-out) entry per item.  Below a pointer position shorter
+    than LONG, a match position is built whole and looked up in
+    ``shared``.  Below a longer one, it is walked one step of its relative
+    position at a time through ``below``, which maps (id of a position,
+    step) to the interned child position; a missing child is built with one
+    concatenation and interned in ``shared``.  Returns the number of items
     processed; the callers hold that number to the subject's node count.
     """
     states = a.states
@@ -148,7 +175,7 @@ def _drain(a, work, fifo, matches, log, shared, limit) -> int:
         for i in state.label:
             kids = node.children
             if i < 1 or i > len(kids):
-                raise _off_subject(cell, state.label)
+                raise _off_subject(cell, state.label, shared)
             node = kids[i - 1]
         sym = node.symbol
         if sym is None:
@@ -163,23 +190,35 @@ def _drain(a, work, fifo, matches, log, shared, limit) -> int:
         if tr is None:
             raise InvariantError(f"state {sid} has no transition for '{name}'")
         if log is not None:
-            log.append((sid, _position(cell), len(tr.targets)))
+            log.append((sid, _position(cell, shared), len(tr.targets)))
         if tr.outputs:
-            at = cell[2] or _position(cell)
-            for pid, rel in tr.outputs:
-                if rel:
-                    pos = at + rel
-                    pos = shared.setdefault(pos, pos)
-                else:
+            at = cell[2] or _position(cell, shared)
+            if len(at) < LONG:
+                for pid, rel in tr.outputs:
+                    if rel:
+                        pos = at + rel
+                        pos = shared.setdefault(pos, pos)
+                    else:
+                        pos = at
+                    matches.append((pid, pos))
+            else:
+                for pid, rel in tr.outputs:
                     pos = at
-                matches.append((pid, pos))
+                    for step in rel:
+                        key = (id(pos), step)
+                        child = below.get(key)
+                        if child is None:
+                            child = pos + (step,)
+                            child = below[key] = shared.setdefault(child, child)
+                        pos = child
+                    matches.append((pid, pos))
         for tid, shift in tr.targets:
             if shift:
                 sub = here
                 for i in shift:
                     kids = sub.children
                     if i < 1 or i > len(kids):
-                        raise _off_subject(cell, shift)
+                        raise _off_subject(cell, shift, shared)
                     sub = kids[i - 1]
                 push((tid, [cell, shift, None, sub]))
             else:
@@ -188,29 +227,35 @@ def _drain(a, work, fifo, matches, log, shared, limit) -> int:
     return done
 
 
-def _position(cell) -> Position:
+def _position(cell, shared) -> Position:
     """The position of a pointer cell, stored in it for its descendants.
 
-    Built with one concatenation onto the nearest ancestor that has one.
+    Built with one concatenation onto the nearest ancestor that has one,
+    and interned in ``shared`` when it is at least LONG steps deep, so that
+    it may key the step trie.  Pointer shifts never walk the trie: on a
+    deep unary chain that would keep every prefix of a pointer's position,
+    memory quadratic in the depth.
     """
     if cell[2] is None:
         up, shifts = cell[0], [cell[1]]
         while up[2] is None:
             shifts.append(up[1])
             up = up[0]
-        cell[2] = up[2] + (shifts[0] if len(shifts) == 1
-                           else tuple(chain.from_iterable(reversed(shifts))))
+        pos = up[2] + (shifts[0] if len(shifts) == 1
+                       else tuple(chain.from_iterable(reversed(shifts))))
+        cell[2] = shared.setdefault(pos, pos) if len(pos) >= LONG else pos
     return cell[2]
 
 
-def _off_subject(cell, path: Position) -> InvariantError:
+def _off_subject(cell, path: Position, shared) -> InvariantError:
     """The error for a label or shift that walks off the subject."""
     here, k = cell[3], 0
     while 0 < path[k] <= len(here.children):
         here = here.children[path[k] - 1]
         k += 1
+    where = _position(cell, shared) + path[:k + 1]
     return InvariantError(
-        f"no subject node at {format_position(_position(cell) + path[:k + 1])}; "
+        f"no subject node at {format_position(where)}; "
         "the automaton and the subject disagree")
 
 

@@ -14,7 +14,8 @@ from setmatch import (LEFTMOST, RIGHTMOST, BreadthFirst, DepthFirst,
                       comb_pattern, domain, evaluate, evaluation_tree,
                       matches, parse_term, subterm_at, term_size, tree_nodes)
 from setmatch.automaton import Transition
-from setmatch.evaluate import MAX_WORKERS
+from setmatch.evaluate import LONG, MAX_WORKERS
+from setmatch.oracle import random_subject
 
 from conftest import HANG_REPRODUCERS, run_limited, subject_terms
 
@@ -65,6 +66,23 @@ def test_strategies_agree_with_brute_force(nested_pattern_set,
         assert sorted(report.inspected) == positions
 
 
+def test_matches_past_long_agree_with_brute_force(sig_fga):
+    # random subjects under LONG unary g's: the comb patterns announce below
+    # pointers past LONG, on paths that branch, so every position is reached
+    # through the step trie, and positions of one length differ
+    ps = _combs(sig_fga)
+    a = build(ps)
+    g = sig_fga.symbol("g")
+    rng = random.Random(20)
+    for _ in range(40):
+        t = random_subject(rng, sig_fga, 40)
+        for _ in range(LONG):
+            t = Term(g, (t,))
+        expected = brute_force_matches(ps, t)
+        for s in ALL_STRATEGIES:
+            assert evaluate(a, t, s).matches == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(subject_terms(max_depth=5))
 def test_inspections_cover_domain_exactly_once(nested_automaton, subject):
@@ -91,7 +109,7 @@ def test_parallel_needs_a_worker(nested_automaton, nested_subject):
 
 def test_parallel_worker_cap_starts_no_thread():
     before = threading.active_count()
-    for workers in (10 ** 9, MAX_WORKERS + 1, -1, 2.5, "2"):
+    for workers in (10 ** 9, MAX_WORKERS + 1, -1, 2.5, "2", True):
         with pytest.raises(ValueError):
             Parallel(workers)
     assert threading.active_count() == before
@@ -144,17 +162,34 @@ def test_shift_outside_subject_fails_loudly(assoc_pattern_set, assoc_subject):
     for strategy in ALL_STRATEGIES:
         with pytest.raises(InvariantError, match=r"no subject node at 2\.1;"):
             evaluate(a, assoc_subject, strategy)
+    # past LONG: the one item that inspects the comb's bottom leaf c is
+    # sent one level below it, and the message names that deep position
+    sig = Signature(COMB_SYMBOLS + (("c", 0),))
+    a = build(_combs(sig))
+    for state in a.states:
+        tr = state.delta["c"]
+        state.delta["c"] = Transition(tr.outputs, ((a.initial, state.label + (1,)),))
+    depth = LONG + 8
+    t = _spine(sig, depth, True, random.Random(3), bottom="c")
+    at = r"\.".join("1" * (depth + 1))
+    for strategy in ALL_STRATEGIES:
+        with pytest.raises(InvariantError, match=rf"no subject node at {at};"):
+            evaluate(a, t, strategy)
 
 
 def test_duplicate_announcement_raises(assoc_pattern_set, assoc_subject):
-    # a hand-edited automaton that announces every match twice
-    a = build(assoc_pattern_set)
-    for state in a.states:
-        for name, tr in state.delta.items():
-            state.delta[name] = Transition(tr.outputs * 2, tr.targets)
-    for strategy in ALL_STRATEGIES:
-        with pytest.raises(InvariantError, match="twice"):
-            evaluate(a, assoc_subject, strategy)
+    # a hand-edited automaton that announces every match twice, also below
+    # pointers past LONG, where positions are interned through the step trie
+    sig = Signature(COMB_SYMBOLS)
+    deep = _spine(sig, LONG + 8, True, random.Random(3))
+    for ps, t in ((assoc_pattern_set, assoc_subject), (_combs(sig), deep)):
+        a = build(ps)
+        for state in a.states:
+            for name, tr in state.delta.items():
+                state.delta[name] = Transition(tr.outputs * 2, tr.targets)
+        for strategy in ALL_STRATEGIES:
+            with pytest.raises(InvariantError, match="twice"):
+                evaluate(a, t, strategy)
 
 
 def test_parallel_is_an_order_witness(assoc_automaton, assoc_signature):
@@ -343,12 +378,21 @@ def test_deep_unary_chain_is_one_pass():
         assert report.matches == {(0, (1,) * (depth - 1))}
 
 
-def _spine(sig, depth, comb, rng):
+COMB_SYMBOLS = (("f", 2), ("g", 1), ("a", 0), ("b", 0))
+
+
+def _combs(sig):
+    """The comb patterns t1..t8 over ``sig``."""
+    return PatternSet(tuple(comb_pattern(n, sig) for n in range(1, 9)), sig)
+
+
+def _spine(sig, depth, comb, rng, bottom=None):
     """A ``depth``-level spine built bottom-up: every level ``f(spine, g(c))``
-    in a comb; ``f(g(c), spine)`` with even odds in a mixed spine."""
+    in a comb; ``f(g(c), spine)`` with even odds in a mixed spine.  The
+    constants are ``a`` and ``b``, the bottom one ``bottom`` if given."""
     f, g = sig.symbol("f"), sig.symbol("g")
-    consts = [s for s in sig if s.arity == 0]
-    t = Term(rng.choice(consts))
+    consts = [sig.symbol("a"), sig.symbol("b")]
+    t = Term(sig.symbol(bottom) if bottom else rng.choice(consts))
     for _ in range(depth):
         side = Term(g, (Term(rng.choice(consts)),))
         t = Term(f, (t, side) if comb or rng.random() < 0.5 else (side, t))
@@ -360,18 +404,21 @@ def _spine(sig, depth, comb, rng):
 def test_matches_at_one_position_share_its_tuple(label_strategy, comb):
     # t1..t8 all match at most spine nodes of a comb; the positions below
     # a pointer are built once per run, also past SIZE_CHECK_AFTER items,
-    # so each position has at most two tuples: the pointer's own and the
-    # shared one
-    sig = Signature((("f", 2), ("g", 1), ("a", 0), ("b", 0)))
-    ps = PatternSet(tuple(comb_pattern(n, sig) for n in range(1, 9)), sig)
+    # so a position has at most two tuples: the pointer's own and the
+    # shared one; past LONG, where both are interned, it has one
+    sig = Signature(COMB_SYMBOLS)
+    ps = _combs(sig)
     a = build(ps, label_strategy)
+    runs = ((DepthFirst(), False), (BreadthFirst(), False),
+            (Parallel(2), False), (DepthFirst(), True))
     for depth in (150, 1400):
         t = _spine(sig, depth, comb, random.Random(14))
         expected = brute_force_matches(ps, t)
-        for strategy in (DepthFirst(), BreadthFirst(), Parallel(2)):
-            m = evaluate(a, t, strategy).matches
+        for strategy, instrument in runs:
+            m = evaluate(a, t, strategy, instrument=instrument).matches
             assert m == expected
             tuples: dict = {}
             for _, p in m:
                 tuples.setdefault(p, set()).add(id(p))
-            assert max(map(len, tuples.values())) <= 2
+            assert all(len(ids) <= (1 if len(p) >= LONG else 2)
+                       for p, ids in tuples.items())
