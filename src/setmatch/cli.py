@@ -97,8 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["depth-first", "breadth-first"],
                    default="depth-first")
     p.add_argument("--stats", action="store_true",
-                   help="also print inspection and work item counts "
-                        "(to stderr under --json)")
+                   help="also print the number of subject nodes inspected "
+                        "and of matches (to stderr under --json)")
     p.add_argument("--verify", action="store_true",
                    help="check the automaton against a rebuild from its patterns, "
                         "and the result against the brute-force matcher")
@@ -168,7 +168,7 @@ def _cmd_match(args) -> int:
         # --json, stdout holds the one JSON document
         out = sys.stderr if args.as_json else sys.stdout
         print(f"inspections: {report.node_count}", file=out)
-        print(f"work items: {report.node_count}", file=out)
+        print(f"matches: {len(report.matches)}", file=out)
     if args.verify:
         expected = brute_force_matches(a.patterns, subject)
         if expected != report.matches:

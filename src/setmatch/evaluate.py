@@ -16,11 +16,14 @@ tuple is built only for a cell whose item announces a match, so one run
 costs time linear in the subject plus the size of its matches.  A match
 position below a pointer is kept once per run in one table.  Below a
 pointer position shorter than LONG, a match position is built whole, then
-looked up.  Below a longer one, it is reached from the pointer's position
-through a per-run step trie, one dict lookup per step of the output's
-relative position, and built, one step at a time, only the first time the
-run reaches it.  Every position of LONG steps or more, a pointer's or a
-match's, is then one tuple in the whole run.
+looked up.  Below a longer one, the transition's outputs are walked as one
+prefix tree of relative steps from the pointer's position through a
+per-run step trie, one dict lookup per distinct prefix, and a position is
+built, one step at a time, only the first time the run reaches it.  A
+pointer whose parent holds a position of LONG steps or more reaches its
+own through the same trie, one lookup per step of its shift.  Every
+position of LONG steps or more, a pointer's or a match's, is then one
+tuple in the whole run.
 """
 
 from collections import deque
@@ -34,13 +37,15 @@ from .terms import Term, term_size
 
 MAX_WORKERS = 64  # below SIZE_CHECK_AFTER, so the FIFO prefix of Parallel needs no bound
 SIZE_CHECK_AFTER = 4096  # items a run drains before it measures its subject
-# A repeat announcement costs the whole-tuple path about 170 ns + 10 ns per
-# step of the position, and the step trie about 110 ns + 130 ns per step of
-# rel (CPython 3.11, 2-vCPU VM): the trie breaks even at about 16 steps for
-# a 2-step rel, 56 for 4 and 96 for 7.  A first announcement costs the trie
-# one concatenation per step of rel, 1.3x to 8x the whole path.  At 64 no
-# match of the ``corpus`` (deepest 37) or ``scan`` (deepest 51) benchmark
-# workloads takes the trie, and 0.86 of ``deep``'s (seed 101) do.
+# A repeated transition's outputs cost the whole-tuple path about 650 ns +
+# 19 ns per step of the pointer's position, per output, and the prefix tree
+# about 1,000 ns + 450 ns per distinct prefix of the relative positions
+# (CPython 3.11, a 2-vCPU VM whose empty loop ran at 22 ns an iteration; one
+# transition timed on a warm trie).  The tree breaks even at about 16 steps
+# for the comb transitions (4 or 8 outputs on one chain), 48 for one output
+# one step below the pointer, 72 for two steps and past 128 for seven.  At
+# 64 no match of the ``corpus`` (deepest 37) or ``scan`` (deepest 51)
+# benchmark workloads takes the trie, and 0.86 of ``deep``'s (seed 101) do.
 LONG = 64
 
 
@@ -131,25 +136,28 @@ def _run(a, subject, strategy, matches, log) -> int:
     # Liveness: every tuple whose id keys ``below`` is a value of ``shared``,
     # so it lives as long as the run and its id is never reused.  Only a
     # pointer position shorter than LONG stays out of ``shared``, and it
-    # never keys ``below``.
+    # never keys ``below``.  Likewise every value of ``trees`` holds the
+    # transition whose id keys it.
     below: dict = {}
+    trees: dict = {}
     done = 0
     if isinstance(strategy, Parallel):
         n = strategy.workers
-        done = _drain(a, work, True, matches, log, shared, below, n)
+        done = _drain(a, work, True, matches, log, shared, below, trees, n)
         items = list(work)
         work = deque(chain.from_iterable(items[k::n] for k in reversed(range(n))))
-    done += _drain(a, work, fifo, matches, log, shared, below,
+    done += _drain(a, work, fifo, matches, log, shared, below, trees,
                    SIZE_CHECK_AFTER - done)
     if work:
         size = term_size(subject)
-        done += _drain(a, work, fifo, matches, log, shared, below, size - done)
+        done += _drain(a, work, fifo, matches, log, shared, below, trees,
+                       size - done)
         if work:
             raise _overrun(size)
     return done
 
 
-def _drain(a, work, fifo, matches, log, shared, below, limit) -> int:
+def _drain(a, work, fifo, matches, log, shared, below, trees, limit) -> int:
     """Process (state id, pointer cell) items of ``work`` until it is empty
     or ``limit`` items are done.
 
@@ -157,9 +165,11 @@ def _drain(a, work, fifo, matches, log, shared, below, limit) -> int:
     pointer once in ``shared``, and, when ``log`` is a list, one (state id,
     pointer, fan-out) entry per item.  Below a pointer position shorter
     than LONG, a match position is built whole and looked up in
-    ``shared``.  Below a longer one, it is walked one step of its relative
-    position at a time through ``below``, which maps (id of a position,
-    step) to the interned child position; a missing child is built with one
+    ``shared``.  Below a longer one, the transition's outputs are walked as
+    one prefix tree of relative steps (``_prefix_tree``, built once per
+    transition and kept in ``trees``), one step through ``below`` per
+    distinct prefix.  ``below`` maps (id of a position, step) to the
+    interned child position; a missing child is built with one
     concatenation and interned in ``shared``.  Returns the number of items
     processed; the callers hold that number to the subject's node count.
     """
@@ -175,7 +185,7 @@ def _drain(a, work, fifo, matches, log, shared, below, limit) -> int:
         for i in state.label:
             kids = node.children
             if i < 1 or i > len(kids):
-                raise _off_subject(cell, state.label, shared)
+                raise _off_subject(cell, state.label, shared, below)
             node = kids[i - 1]
         sym = node.symbol
         if sym is None:
@@ -190,9 +200,9 @@ def _drain(a, work, fifo, matches, log, shared, below, limit) -> int:
         if tr is None:
             raise InvariantError(f"state {sid} has no transition for '{name}'")
         if log is not None:
-            log.append((sid, _position(cell, shared), len(tr.targets)))
+            log.append((sid, _position(cell, shared, below), len(tr.targets)))
         if tr.outputs:
-            at = cell[2] or _position(cell, shared)
+            at = cell[2] or _position(cell, shared, below)
             if len(at) < LONG:
                 for pid, rel in tr.outputs:
                     if rel:
@@ -202,23 +212,27 @@ def _drain(a, work, fifo, matches, log, shared, below, limit) -> int:
                         pos = at
                     matches.append((pid, pos))
             else:
-                for pid, rel in tr.outputs:
-                    pos = at
-                    for step in rel:
-                        key = (id(pos), step)
-                        child = below.get(key)
-                        if child is None:
-                            child = pos + (step,)
-                            child = below[key] = shared.setdefault(child, child)
-                        pos = child
-                    matches.append((pid, pos))
+                tree = trees.get(id(tr)) or trees.setdefault(id(tr), _prefix_tree(tr))
+                for pid in tree[1]:
+                    matches.append((pid, at))
+                reached = [at]
+                for up, step, pids in tree[2]:
+                    pos = reached[up]
+                    key = (id(pos), step)
+                    child = below.get(key)
+                    if child is None:
+                        child = pos + (step,)
+                        child = below[key] = shared.setdefault(child, child)
+                    reached.append(child)
+                    for pid in pids:
+                        matches.append((pid, child))
         for tid, shift in tr.targets:
             if shift:
                 sub = here
                 for i in shift:
                     kids = sub.children
                     if i < 1 or i > len(kids):
-                        raise _off_subject(cell, shift, shared)
+                        raise _off_subject(cell, shift, shared, below)
                     sub = kids[i - 1]
                 push((tid, [cell, shift, None, sub]))
             else:
@@ -227,17 +241,25 @@ def _drain(a, work, fifo, matches, log, shared, below, limit) -> int:
     return done
 
 
-def _position(cell, shared) -> Position:
+def _position(cell, shared, below) -> Position:
     """The position of a pointer cell, stored in it for its descendants.
 
-    Built with one concatenation onto the nearest ancestor that has one,
-    and interned in ``shared`` when it is at least LONG steps deep, so that
-    it may key the step trie.  Pointer shifts never walk the trie: on a
-    deep unary chain that would keep every prefix of a pointer's position,
-    memory quadratic in the depth.
+    When the parent cell holds a position of at least LONG steps, the
+    cell's own is reached from it through the step trie ``below``, one
+    lookup per step of the cell's shift.  Otherwise it is built with one
+    concatenation onto the nearest ancestor that has one, and interned in
+    ``shared`` when it is at least LONG steps deep, so that it may key the
+    trie.  The trie is never walked across more than the one shift: on a
+    deep unary chain, walking every shift up to the nearest positioned
+    ancestor would keep every prefix of a pointer's position, memory
+    quadratic in the depth.
     """
     if cell[2] is None:
-        up, shifts = cell[0], [cell[1]]
+        up = cell[0]
+        if up[2] is not None and len(up[2]) >= LONG:
+            cell[2] = _walk(up[2], cell[1], shared, below)
+            return cell[2]
+        shifts = [cell[1]]
         while up[2] is None:
             shifts.append(up[1])
             up = up[0]
@@ -247,13 +269,53 @@ def _position(cell, shared) -> Position:
     return cell[2]
 
 
-def _off_subject(cell, path: Position, shared) -> InvariantError:
+def _walk(pos, path: Position, shared, below) -> Position:
+    """The interned position ``pos + path``, reached one step of ``path`` at
+    a time through ``below``; ``pos`` must be interned in ``shared``.
+
+    ``_drain`` keeps an inline copy of this loop for announcements.
+    """
+    for step in path:
+        key = (id(pos), step)
+        child = below.get(key)
+        if child is None:
+            child = pos + (step,)
+            child = below[key] = shared.setdefault(child, child)
+        pos = child
+    return pos
+
+
+def _prefix_tree(tr) -> tuple:
+    """``tr``'s outputs as one prefix tree of relative steps.
+
+    Returns ``(tr, pids at the pointer, nodes)``: a node is ``(index of its
+    parent, step, pids announced there)``, where index 0 is the pointer and
+    node ``k`` has index ``k + 1``, so a parent precedes its children.  Each
+    distinct non-empty prefix of a relative position is one node, and every
+    output keeps its place, duplicates included.
+    """
+    top: list = []
+    index = {(): 0}
+    nodes: list = []
+    for pid, rel in tr.outputs:
+        if not rel:
+            top.append(pid)
+            continue
+        for k in range(1, len(rel) + 1):
+            if rel[:k] not in index:
+                nodes.append((index[rel[:k - 1]], rel[k - 1], []))
+                index[rel[:k]] = len(nodes)
+        nodes[index[rel] - 1][2].append(pid)
+    return tr, tuple(top), tuple((up, step, tuple(pids)) for up, step, pids in nodes)
+
+
+def _off_subject(cell, path: Position, shared, below) -> InvariantError:
     """The error for a label or shift that walks off the subject."""
     here, k = cell[3], 0
     while 0 < path[k] <= len(here.children):
         here = here.children[path[k] - 1]
         k += 1
-    where = _position(cell, shared) + path[:k + 1]
+    where = _position(cell, shared, below) + path[:k + 1]
     return InvariantError(
         f"no subject node at {format_position(where)}; "
         "the automaton and the subject disagree")

@@ -410,7 +410,8 @@ def test_matches_at_one_position_share_its_tuple(label_strategy, comb):
     ps = _combs(sig)
     a = build(ps, label_strategy)
     runs = ((DepthFirst(), False), (BreadthFirst(), False),
-            (Parallel(2), False), (DepthFirst(), True))
+            (Parallel(2), False), (Parallel(MAX_WORKERS), False),
+            (DepthFirst(), True), (BreadthFirst(), True))
     for depth in (150, 1400):
         t = _spine(sig, depth, comb, random.Random(14))
         expected = brute_force_matches(ps, t)
@@ -422,3 +423,70 @@ def test_matches_at_one_position_share_its_tuple(label_strategy, comb):
                 tuples.setdefault(p, set()).add(id(p))
             assert all(len(ids) <= (1 if len(p) >= LONG else 2)
                        for p, ids in tuples.items())
+
+
+@pytest.mark.parametrize("label_strategy", (RIGHTMOST, LEFTMOST))
+def test_matches_past_long_ignore_output_order(label_strategy):
+    # past LONG a transition's outputs are walked as one prefix tree; with
+    # every transition's outputs reversed, the tree meets its prefixes in
+    # another order and must reach the same positions
+    sig = Signature(COMB_SYMBOLS)
+    ps = _combs(sig)
+    a = build(ps, label_strategy)
+    for state in a.states:
+        for name, tr in state.delta.items():
+            state.delta[name] = Transition(tr.outputs[::-1], tr.targets)
+    for comb in (True, False):
+        t = _spine(sig, LONG + 40, comb, random.Random(21))
+        expected = brute_force_matches(ps, t)
+        for strategy in ALL_STRATEGIES:
+            assert evaluate(a, t, strategy).matches == expected
+
+
+@pytest.mark.parametrize("label_strategy", (RIGHTMOST, LEFTMOST))
+def test_doubled_announcement_at_a_deep_pointer_raises(label_strategy):
+    # only the announcements at the pointer itself (an empty relative
+    # position) are doubled, and under LONG unary g's every match sits
+    # below a pointer past LONG: the prefix tree must keep both copies
+    sig = Signature(COMB_SYMBOLS)
+    a = build(_combs(sig), label_strategy)
+    doubled = 0
+    for state in a.states:
+        for name, tr in state.delta.items():
+            at = tuple(out for out in tr.outputs if not out[1])
+            doubled += len(at)
+            state.delta[name] = Transition(at + tr.outputs, tr.targets)
+    assert doubled
+    t = _spine(sig, 8, True, random.Random(3))
+    for _ in range(LONG):
+        t = Term(sig.symbol("g"), (t,))
+    for strategy in ALL_STRATEGIES:
+        with pytest.raises(InvariantError, match="twice"):
+            evaluate(a, t, strategy)
+
+
+def test_branching_outputs_past_long_are_each_announced():
+    # a built automaton announces only on the path from a pointer to its
+    # label, so each prefix tree it makes is a chain; hand-edited outputs
+    # that branch, in shuffled order, must each land at pointer + rel
+    sig = Signature(COMB_SYMBOLS)
+    a = build(_combs(sig))
+    rng = random.Random(22)
+    for state in a.states:
+        for name, tr in state.delta.items():
+            outs = list(tr.outputs)
+            outs += [(pid + 8, rel + (2,)) for pid, rel in tr.outputs]
+            outs += [(pid + 16, (2,) + rel) for pid, rel in tr.outputs]
+            rng.shuffle(outs)
+            state.delta[name] = Transition(tuple(outs), tr.targets)
+    for comb in (True, False):
+        t = _spine(sig, LONG + 24, comb, random.Random(23))
+        expected = set()
+        for node in tree_nodes(evaluation_tree(a, t)):
+            state = a.states[node.state]
+            name = subterm_at(t, node.pointer + state.label).symbol.name
+            expected.update((pid, node.pointer + rel)
+                            for pid, rel in state.delta[name].outputs)
+        assert any(len(p) >= LONG + 2 for _, p in expected)
+        for strategy in ALL_STRATEGIES:
+            assert evaluate(a, t, strategy).matches == expected
