@@ -255,16 +255,17 @@ def _position(cell, shared, below) -> Position:
     quadratic in the depth.
     """
     if cell[2] is None:
-        up = cell[0]
-        if up[2] is not None and len(up[2]) >= LONG:
-            cell[2] = _walk(up[2], cell[1], shared, below)
-            return cell[2]
-        shifts = [cell[1]]
+        up, shifts = cell[0], [cell[1]]
         while up[2] is None:
             shifts.append(up[1])
             up = up[0]
-        pos = up[2] + (shifts[0] if len(shifts) == 1
-                       else tuple(chain.from_iterable(reversed(shifts))))
+        if len(shifts) > 1:
+            pos = up[2] + tuple(chain.from_iterable(reversed(shifts)))
+        elif len(up[2]) < LONG:
+            pos = up[2] + cell[1]
+        else:
+            cell[2] = _walk(up[2], cell[1], shared, below)
+            return cell[2]
         cell[2] = shared.setdefault(pos, pos) if len(pos) >= LONG else pos
     return cell[2]
 
