@@ -38,12 +38,22 @@ LEFTMOST = "leftmost"
 RIGHTMOST = "rightmost"
 _STRATEGIES = (LEFTMOST, RIGHTMOST)
 
-Announcement = tuple[int, Position]  # (pattern id, position relative to the state)
+# (pattern id, position relative to the pointer): always a prefix of the
+# state's label, so a match lies on the path its inspection walked
+Announcement = tuple[int, Position]
 TargetRef = tuple[int, Position]     # (state id, pointer shift)
 
 
 @dataclass(frozen=True)
 class Transition:
+    """What observing one symbol at a state's label does.
+
+    Every output's position is a prefix of the state's label: ``build``
+    makes it so, ``from_json`` rejects a document that breaks it, and
+    ``verify_automaton`` catches an automaton edited in Python.  Evaluation
+    relies on it and does not check it per output.
+    """
+
     outputs: tuple[Announcement, ...]
     targets: tuple[TargetRef, ...]  # empty tuple = implicit final state
 

@@ -14,16 +14,18 @@ A pointer is a parent-linked cell ``[parent cell, shift, position or None,
 subterm]``, shared with the parent when the shift is empty.  Its position
 tuple is built only for a cell whose item announces a match, so one run
 costs time linear in the subject plus the size of its matches.  A match
-position below a pointer is kept once per run in one table.  Below a
-pointer position shorter than LONG, a match position is built whole, then
-looked up.  Below a longer one, the transition's outputs are walked as one
-prefix tree of relative steps from the pointer's position through a
-per-run step trie, one dict lookup per distinct prefix, and a position is
-built, one step at a time, only the first time the run reaches it.  A
-pointer whose parent holds a position of LONG steps or more reaches its
-own through the same trie, one lookup per step of its shift.  Every
-position of LONG steps or more, a pointer's or a match's, is then one
-tuple in the whole run.
+position below a pointer is kept once per run in one table.  Every
+output's relative position is a prefix of its state's label (``build``
+makes it so and ``from_json`` checks it), so a transition's outputs lie on
+one chain below the pointer.  Below a pointer position shorter than LONG,
+a match position is built whole, then looked up.  Below a longer one, the
+chain is walked from the pointer's position through a per-run step trie,
+one dict lookup per step of the deepest output, and a position is built,
+one step at a time, only the first time the run reaches it.  A pointer
+whose parent holds a position of LONG steps or more reaches its own
+through the same trie, one lookup per step of its shift.  Every position
+of LONG steps or more, a pointer's or a match's, is then one tuple in the
+whole run.
 """
 
 from collections import deque
@@ -37,15 +39,17 @@ from .terms import Term, term_size
 
 MAX_WORKERS = 64  # below SIZE_CHECK_AFTER, so the FIFO prefix of Parallel needs no bound
 SIZE_CHECK_AFTER = 4096  # items a run drains before it measures its subject
-# A repeated transition's outputs cost the whole-tuple path about 650 ns +
-# 19 ns per step of the pointer's position, per output, and the prefix tree
-# about 1,000 ns + 450 ns per distinct prefix of the relative positions
-# (CPython 3.11, a 2-vCPU VM whose empty loop ran at 22 ns an iteration; one
-# transition timed on a warm trie).  The tree breaks even at about 16 steps
-# for the comb transitions (4 or 8 outputs on one chain), 48 for one output
-# one step below the pointer, 72 for two steps and past 128 for seven.  At
-# 64 no match of the ``corpus`` (deepest 37) or ``scan`` (deepest 51)
-# benchmark workloads takes the trie, and 0.86 of ``deep``'s (seed 101) do.
+# A repeated transition's outputs cost the whole-tuple path about 200 ns +
+# 12 ns per step of the match position, per output.  The chain walk costs
+# about 150 ns, plus 450 ns per output that grows the chain and 180 ns per
+# further step it grows, plus 80 ns per output that does not grow it
+# (CPython 3.11, a 2-vCPU VM whose empty loop ran at 18-25 ns an iteration;
+# one transition timed on a warm trie, best of 15 rounds).  The chain breaks
+# even at about 22 steps for the comb transitions (4 or 8 outputs, one step
+# apart), 31 for one output one step below the pointer, 44 for two steps and
+# about 110 for seven.  At 64 no match of the ``corpus`` (deepest 37) or
+# ``scan`` (deepest 51) benchmark workloads takes the trie, and 0.86 of
+# ``deep``'s (seed 101) do.
 LONG = 64
 
 
@@ -128,7 +132,8 @@ def _run(a, subject, strategy, matches, log) -> int:
     ``Parallel(n)`` drains ``n`` items FIFO and deals the waiting ones into
     ``n`` shares; queued on one LIFO deque, a share and all its descendants
     finish before the next one starts.  The subject is measured only when
-    the run passes SIZE_CHECK_AFTER items.
+    the run passes SIZE_CHECK_AFTER items.  Every drain of the run shares
+    one position table ``shared`` and one step trie ``below``.
     """
     work = deque([(a.initial, [None, (), (), subject])])
     fifo = isinstance(strategy, BreadthFirst)
@@ -136,28 +141,25 @@ def _run(a, subject, strategy, matches, log) -> int:
     # Liveness: every tuple whose id keys ``below`` is a value of ``shared``,
     # so it lives as long as the run and its id is never reused.  Only a
     # pointer position shorter than LONG stays out of ``shared``, and it
-    # never keys ``below``.  Likewise every value of ``trees`` holds the
-    # transition whose id keys it.
+    # never keys ``below``.
     below: dict = {}
-    trees: dict = {}
     done = 0
     if isinstance(strategy, Parallel):
         n = strategy.workers
-        done = _drain(a, work, True, matches, log, shared, below, trees, n)
+        done = _drain(a, work, True, matches, log, shared, below, n)
         items = list(work)
         work = deque(chain.from_iterable(items[k::n] for k in reversed(range(n))))
-    done += _drain(a, work, fifo, matches, log, shared, below, trees,
+    done += _drain(a, work, fifo, matches, log, shared, below,
                    SIZE_CHECK_AFTER - done)
     if work:
         size = term_size(subject)
-        done += _drain(a, work, fifo, matches, log, shared, below, trees,
-                       size - done)
+        done += _drain(a, work, fifo, matches, log, shared, below, size - done)
         if work:
             raise _overrun(size)
     return done
 
 
-def _drain(a, work, fifo, matches, log, shared, below, trees, limit) -> int:
+def _drain(a, work, fifo, matches, log, shared, below, limit) -> int:
     """Process (state id, pointer cell) items of ``work`` until it is empty
     or ``limit`` items are done.
 
@@ -165,13 +167,15 @@ def _drain(a, work, fifo, matches, log, shared, below, trees, limit) -> int:
     pointer once in ``shared``, and, when ``log`` is a list, one (state id,
     pointer, fan-out) entry per item.  Below a pointer position shorter
     than LONG, a match position is built whole and looked up in
-    ``shared``.  Below a longer one, the transition's outputs are walked as
-    one prefix tree of relative steps (``_prefix_tree``, built once per
-    transition and kept in ``trees``), one step through ``below`` per
-    distinct prefix.  ``below`` maps (id of a position, step) to the
-    interned child position; a missing child is built with one
-    concatenation and interned in ``shared``.  Returns the number of items
-    processed; the callers hold that number to the subject's node count.
+    ``shared``.  Below a longer one, ``reached`` holds the positions
+    reached so far from the pointer's, one per step; an output deeper than
+    its end extends it one step at a time through ``below``, with the steps
+    of the output's own relative position.  Outputs lie on the state's
+    label, so they all extend one chain, and each costs one lookup per step
+    it adds.  ``below`` maps (id of a position, step) to the interned child
+    position; a missing child is built with one concatenation and interned
+    in ``shared``.  Returns the number of items processed; the callers hold
+    that number to the subject's node count.
     """
     states = a.states
     known = a.signature._by_name.get
@@ -212,20 +216,20 @@ def _drain(a, work, fifo, matches, log, shared, below, trees, limit) -> int:
                         pos = at
                     matches.append((pid, pos))
             else:
-                tree = trees.get(id(tr)) or trees.setdefault(id(tr), _prefix_tree(tr))
-                for pid in tree[1]:
-                    matches.append((pid, at))
                 reached = [at]
-                for up, step, pids in tree[2]:
-                    pos = reached[up]
-                    key = (id(pos), step)
-                    child = below.get(key)
-                    if child is None:
-                        child = pos + (step,)
-                        child = below[key] = shared.setdefault(child, child)
-                    reached.append(child)
-                    for pid in pids:
-                        matches.append((pid, child))
+                for pid, rel in tr.outputs:
+                    n = len(rel)
+                    if n >= len(reached):
+                        pos = reached[-1]
+                        for step in rel[len(reached) - 1:]:
+                            key = (id(pos), step)
+                            child = below.get(key)
+                            if child is None:
+                                child = pos + (step,)
+                                child = below[key] = shared.setdefault(child, child)
+                            reached.append(child)
+                            pos = child
+                    matches.append((pid, reached[n]))
         for tid, shift in tr.targets:
             if shift:
                 sub = here
@@ -284,30 +288,6 @@ def _walk(pos, path: Position, shared, below) -> Position:
             child = below[key] = shared.setdefault(child, child)
         pos = child
     return pos
-
-
-def _prefix_tree(tr) -> tuple:
-    """``tr``'s outputs as one prefix tree of relative steps.
-
-    Returns ``(tr, pids at the pointer, nodes)``: a node is ``(index of its
-    parent, step, pids announced there)``, where index 0 is the pointer and
-    node ``k`` has index ``k + 1``, so a parent precedes its children.  Each
-    distinct non-empty prefix of a relative position is one node, and every
-    output keeps its place, duplicates included.
-    """
-    top: list = []
-    index = {(): 0}
-    nodes: list = []
-    for pid, rel in tr.outputs:
-        if not rel:
-            top.append(pid)
-            continue
-        for k in range(1, len(rel) + 1):
-            if rel[:k] not in index:
-                nodes.append((index[rel[:k - 1]], rel[k - 1], []))
-                index[rel[:k]] = len(nodes)
-        nodes[index[rel] - 1][2].append(pid)
-    return tr, tuple(top), tuple((up, step, tuple(pids)) for up, step, pids in nodes)
 
 
 def _off_subject(cell, path: Position, shared, below) -> InvariantError:

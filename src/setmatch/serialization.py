@@ -12,15 +12,19 @@ The text is compact JSON, deterministic, with a stable key order.
 ``from_json`` reads a document in one pass and raises a
 :class:`~setmatch.errors.FormatError` at the first fault, with the JSON path
 of the value at fault.  It rejects a label, output position or shift with
-a step above the signature's widest arity, and documents of any other
-schema version.  Within a state, an undeclared ``delta`` symbol is reported
-first; then each symbol's transition in signature order.
+a step above the signature's widest arity, an output position that is not a
+prefix of its state's label, and documents of any other schema version.
+``build`` announces every output at such a prefix, and evaluation relies
+on it: an announced position lies on the path the inspection has just
+walked, so it is in the subject.  Within a state, an undeclared ``delta``
+symbol is reported first; then each symbol's transition in signature order.
 """
 
 import json
 
 from .automaton import LEFTMOST, RIGHTMOST, SetAutomaton, State, Transition
 from .errors import FormatError, ParseError, PatternSetError, SignatureError
+from .positions import format_position
 from .terms import PatternSet, Signature, parse_term
 
 SCHEMA_VERSION = 3
@@ -146,8 +150,12 @@ def from_json(text: str) -> SetAutomaton:
                 if type(pid) is not int or not 0 <= pid < n_patterns:
                     _invalid(o, "pattern", "unknown pattern id",
                              "states", i, "delta", name, "outputs", j)
-                outs.append((pid, _position(o, "pos", width,
-                                            "states", i, "delta", name, "outputs", j)))
+                pos = _position(o, "pos", width, "states", i, "delta", name, "outputs", j)
+                if label[:len(pos)] != pos:
+                    _fail(f"position {format_position(pos)} is not a prefix of the state's "
+                          f"label {format_position(label)}",
+                          "states", i, "delta", name, "outputs", j, "pos")
+                outs.append((pid, pos))
             raw_tgts = tr.get("targets")
             if type(raw_tgts) is not list:
                 _invalid(tr, "targets", "must be an array", "states", i, "delta", name)

@@ -313,6 +313,28 @@ def test_match_reports_a_broken_automaton_in_one_line(compiled, tmp_path,
     assert len(err.splitlines()) == 1
 
 
+def test_match_rejects_an_output_off_the_label_path(compiled, tmp_path, capsys):
+    # an output announces at a prefix of its state's label; one moved two
+    # steps further would report f(_,a) at 2.2, a node f(a, a) lacks
+    auto = compiled("fa", "f(_, a)\n", signature="f/2\na/0\n")
+    doc = json.loads(auto.read_text())
+    for state in doc["states"]:
+        for tr in state["delta"].values():
+            for out in tr["outputs"]:
+                out["pos"] += [2, 2]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    term = _write_term(tmp_path, "f(a, a)")
+    capsys.readouterr()
+    rc = main(["match", "--automaton", str(bad), "--term", str(term)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "outputs[0].pos" in err
+    assert "not a prefix of the state's label" in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("strategy", ["depth-first", "breadth-first"])
 @pytest.mark.parametrize("name", sorted(HANG_REPRODUCERS))
 def test_match_on_an_automaton_without_a_bounded_run_is_a_one_line_error(

@@ -6,13 +6,15 @@ import signal
 
 import pytest
 
-from setmatch import LEFTMOST, RIGHTMOST, build, format_term, from_json, to_json
+from setmatch import (LEFTMOST, RIGHTMOST, FormatError, build, format_term, from_json,
+                      to_json)
 from setmatch.cli import main
 from setmatch.oracle import random_instance
 
 SEED = 2021
 SETS = 30       # small random pattern sets, each with one small subject
 DAMAGES = 15    # damaged documents per set, each matched with and without --verify
+REJECTED = 76   # of the SETS * DAMAGES documents, those that from_json rejects
 BUDGET = 1.0    # seconds per CLI call, so that a run without end fails the test
 
 
@@ -29,7 +31,11 @@ def _position(rng, width) -> list:
 
 
 def _damage(doc, rng) -> None:
-    """Change ``doc`` in one way that ``from_json`` accepts."""
+    """Change ``doc`` in one way that keeps every value well-formed.
+
+    An added output or a new label may leave an output position that is not
+    a prefix of its state's label, which ``from_json`` rejects.
+    """
     width = max(s["arity"] for s in doc["signature"])
     states = doc["states"]
     transitions = [tr for st in states for tr in st["delta"].values()]
@@ -72,8 +78,10 @@ def _main(argv) -> int:
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
 def test_damaged_documents_keep_the_exit_code_contract(tmp_path, capsys):
     # exit 0 or 2 from a plain match, one line on stderr for 2; under
-    # --verify, exit 1 exactly when the document differs from its rebuild
+    # --verify, exit 1 exactly when the document differs from its rebuild;
+    # a document that does not load exits 2 with one line either way
     rng = random.Random(SEED)
+    rejected = 0
     auto, term = tmp_path / "a.json", tmp_path / "t.term"
     previous = signal.signal(signal.SIGALRM, _over_budget)
     try:
@@ -86,8 +94,16 @@ def test_damaged_documents_keep_the_exit_code_contract(tmp_path, capsys):
                 doc = json.loads(text)
                 _damage(doc, rng)
                 auto.write_text(json.dumps(doc))
-                changed = to_json(from_json(auto.read_text())) != text
                 argv = ["match", "--automaton", str(auto), "--term", str(term)]
+                try:
+                    changed = to_json(from_json(auto.read_text())) != text
+                except FormatError:
+                    rejected += 1
+                    for extra in ([], ["--verify"]):
+                        assert _main(argv + extra) == 2, doc
+                        err = capsys.readouterr().err
+                        assert err.startswith("error: ") and len(err.splitlines()) == 1
+                    continue
                 rc = _main(argv)
                 err = capsys.readouterr().err
                 assert rc in (0, 2), (doc, rc)
@@ -97,3 +113,4 @@ def test_damaged_documents_keep_the_exit_code_contract(tmp_path, capsys):
                 capsys.readouterr()
     finally:
         signal.signal(signal.SIGALRM, previous)
+    assert rejected == REJECTED

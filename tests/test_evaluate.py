@@ -427,9 +427,9 @@ def test_matches_at_one_position_share_its_tuple(label_strategy, comb):
 
 @pytest.mark.parametrize("label_strategy", (RIGHTMOST, LEFTMOST))
 def test_matches_past_long_ignore_output_order(label_strategy):
-    # past LONG a transition's outputs are walked as one prefix tree; with
-    # every transition's outputs reversed, the tree meets its prefixes in
-    # another order and must reach the same positions
+    # past LONG a transition's outputs are walked as one chain; with every
+    # transition's outputs reversed, they extend the chain in another order
+    # and must reach the same positions
     sig = Signature(COMB_SYMBOLS)
     ps = _combs(sig)
     a = build(ps, label_strategy)
@@ -447,7 +447,7 @@ def test_matches_past_long_ignore_output_order(label_strategy):
 def test_doubled_announcement_at_a_deep_pointer_raises(label_strategy):
     # only the announcements at the pointer itself (an empty relative
     # position) are doubled, and under LONG unary g's every match sits
-    # below a pointer past LONG: the prefix tree must keep both copies
+    # below a pointer past LONG: the chain walk must keep both copies
     sig = Signature(COMB_SYMBOLS)
     a = build(_combs(sig), label_strategy)
     doubled = 0
@@ -463,30 +463,3 @@ def test_doubled_announcement_at_a_deep_pointer_raises(label_strategy):
     for strategy in ALL_STRATEGIES:
         with pytest.raises(InvariantError, match="twice"):
             evaluate(a, t, strategy)
-
-
-def test_branching_outputs_past_long_are_each_announced():
-    # a built automaton announces only on the path from a pointer to its
-    # label, so each prefix tree it makes is a chain; hand-edited outputs
-    # that branch, in shuffled order, must each land at pointer + rel
-    sig = Signature(COMB_SYMBOLS)
-    a = build(_combs(sig))
-    rng = random.Random(22)
-    for state in a.states:
-        for name, tr in state.delta.items():
-            outs = list(tr.outputs)
-            outs += [(pid + 8, rel + (2,)) for pid, rel in tr.outputs]
-            outs += [(pid + 16, (2,) + rel) for pid, rel in tr.outputs]
-            rng.shuffle(outs)
-            state.delta[name] = Transition(tuple(outs), tr.targets)
-    for comb in (True, False):
-        t = _spine(sig, LONG + 24, comb, random.Random(23))
-        expected = set()
-        for node in tree_nodes(evaluation_tree(a, t)):
-            state = a.states[node.state]
-            name = subterm_at(t, node.pointer + state.label).symbol.name
-            expected.update((pid, node.pointer + rel)
-                            for pid, rel in state.delta[name].outputs)
-        assert any(len(p) >= LONG + 2 for _, p in expected)
-        for strategy in ALL_STRATEGIES:
-            assert evaluate(a, t, strategy).matches == expected
