@@ -131,10 +131,6 @@ def test_rejects_unknown_label_strategy(nested_automaton, strategy):
     (("states", 1, "delta", "g", "outputs"), [{"pattern": 0, "pos": [2, 3]}],
      "$.states[1].delta.g.outputs[0].pos[1]: step 3 is above the signature's "
      "widest arity 2"),
-    # a well-formed output position must still lie on its state's label
-    (("states", 1, "delta", "g", "outputs"), [{"pattern": 0, "pos": [2, 2]}],
-     "$.states[1].delta.g.outputs[0].pos: position 2.2 is not a prefix of the "
-     "state's label 2"),
     (("states", 0, "delta", "f", "targets"), [{"state": 1, "shift": [1, 1, 7]}],
      "$.states[0].delta.f.targets[0].shift[2]: step 7 is above the signature's "
      "widest arity 2"),
@@ -156,6 +152,11 @@ def test_rejects_unknown_label_strategy(nested_automaton, strategy):
      "$.states[1].delta.g.outputs[0]: missing field 'pos'"),
     (("states", 1, "delta", "g", "targets"), [{"state": True, "shift": [0]}],
      "$.states[1].delta.g.targets[0].state: unknown state id True"),
+    # after the range check, a well-formed output position must lie on its
+    # state's label
+    (("states", 1, "delta", "g", "outputs"), [{"pattern": 0, "pos": [2, 2]}],
+     "$.states[1].delta.g.outputs[0].pos: position 2.2 is not a prefix of the "
+     "state's label 2"),
 ])
 def test_rejects_nested_entries_with_their_exact_path(nested_automaton, where,
                                                       value, message):
