@@ -38,9 +38,7 @@ LEFTMOST = "leftmost"
 RIGHTMOST = "rightmost"
 _STRATEGIES = (LEFTMOST, RIGHTMOST)
 
-# (pattern id, position relative to the pointer): always a prefix of the
-# state's label, so a match lies on the path its inspection walked
-Announcement = tuple[int, Position]
+Announcement = tuple[int, Position]  # (pattern id, a prefix of the state's label)
 TargetRef = tuple[int, Position]     # (state id, pointer shift)
 
 
@@ -48,8 +46,9 @@ TargetRef = tuple[int, Position]     # (state id, pointer shift)
 class Transition:
     """What observing one symbol at a state's label does.
 
-    Every output's position is a prefix of the state's label: ``build``
-    makes it so, ``from_json`` rejects a document that breaks it, and
+    Every output's position is a prefix of the state's label, so a match
+    lies on the path its inspection walked: ``build`` makes it so,
+    ``from_json`` rejects a document that breaks it, and
     ``verify_automaton`` catches an automaton edited in Python.  Evaluation
     relies on it and does not check it per output.
     """
