@@ -47,8 +47,8 @@ class Transition:
     """What observing one symbol at a state's label does.
 
     Every output's position is a prefix of the state's label, so a match
-    lies on the path its inspection walked: ``build`` makes it so,
-    ``from_json`` rejects a document that breaks it, and
+    lies on the path its inspection walked: ``build`` makes it so, a
+    document names each output by its depth into the label, and
     ``verify_automaton`` catches an automaton edited in Python.  Evaluation
     relies on it and does not check it per output.
     """

@@ -44,14 +44,17 @@ def _where(name: str) -> str:
 
 
 def _read(name: str) -> str:
-    """The UTF-8 text of file ``name``, or of stdin for ``-``."""
+    """The UTF-8 text of file ``name``, or of stdin for ``-``, without a
+    leading byte-order mark; error offsets count from after the mark."""
     try:
         if name == "-":
-            return sys.stdin.buffer.read().decode("utf-8")
-        return Path(name).read_text("utf-8")
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
+            text = Path(name).read_text("utf-8")
     except UnicodeDecodeError as e:
         raise SetMatchError(
             f"{_where(name)}: not UTF-8 text, byte {e.start}: {e.reason}") from None
+    return text.removeprefix("\ufeff")
 
 
 def _load(name: str, parse, *args):

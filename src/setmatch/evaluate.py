@@ -16,9 +16,10 @@ tuple is built only for a cell whose item announces a match, so one run
 costs time linear in the subject plus the size of its matches.  A match
 position below a pointer is kept once per run in one table.  Every
 output's relative position is a prefix of its state's label (``build``
-makes it so and ``from_json`` checks it), so a transition's outputs lie on
-one chain below the pointer.  Below a pointer position shorter than LONG,
-a match position is built whole, then looked up.  Below a longer one, the
+makes it so and a document stores it as a depth into the label), so a
+transition's outputs lie on one chain below the pointer.  Below a pointer
+position shorter than LONG, a match position is built whole, then looked
+up.  Below a longer one, the
 chain is walked from the pointer's position through a per-run step trie,
 one dict lookup per step of the deepest output, and a position is built,
 one step at a time, only the first time the run reaches it.  A pointer

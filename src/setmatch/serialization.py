@@ -1,8 +1,14 @@
-"""JSON form of a compiled automaton (schema version 3).
+"""JSON form of a compiled automaton (schema version 4).
 
 The document holds what matching needs and what rebuilding needs: the
 signature, the pattern texts, the label strategy, the initial state, and
-per state its label and transitions.  Goal sets are the compiler's working
+the states.  A state is an array: its label, then one row entry per
+signature symbol, in signature order.  An entry is ``[outputs, targets]``.
+Outputs are flat ``pattern, depth`` integer pairs; a depth names the
+position ``label[:depth]``, so every output lies on its state's label, the
+rule ``build`` keeps and evaluation relies on.  Targets are flat ``state,
+shift`` pairs.  A state's id is its index, and no object key repeats per
+state, transition, output or target.  Goal sets are the compiler's working
 data and are not stored, so a loaded state has ``goals=None``.  Because
 :func:`~setmatch.automaton.build` is deterministic, any automaton, loaded
 or built, is verified by rebuilding it from its patterns and label strategy
@@ -11,41 +17,33 @@ and comparing the two (:func:`~setmatch.automaton.verify_automaton`).
 The text is compact JSON, deterministic, with a stable key order.
 ``from_json`` reads a document in one pass and raises a
 :class:`~setmatch.errors.FormatError` at the first fault, with the JSON path
-of the value at fault.  It rejects a label, output position or shift with
-a step above the signature's widest arity, an output position that is not a
-prefix of its state's label, and documents of any other schema version.
-``build`` announces every output at such a prefix, and evaluation relies
-on it: an announced position lies on the path the inspection has just
-walked, so it is in the subject.  Within a state, an undeclared ``delta``
-symbol is reported first; then each symbol's transition in signature order.
+of the value at fault; below a row entry the message names its symbol.  It
+rejects a label or shift with a step above the signature's widest arity, a
+depth outside ``0..len(label)``, a row that does not hold one entry per
+signature symbol, and documents of any other schema version.  Within a
+state, the label is checked first, then each symbol's entry in signature
+order: outputs, then targets.
 """
 
 import json
 
 from .automaton import LEFTMOST, RIGHTMOST, SetAutomaton, State, Transition
 from .errors import FormatError, ParseError, PatternSetError, SignatureError
-from .positions import format_position
 from .terms import PatternSet, Signature, parse_term
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def to_json(a: SetAutomaton) -> str:
-    states = [
-        {
-            "id": sid,
-            "label": list(st.label),
-            "delta": {
-                name: {
-                    "outputs": [{"pattern": pid, "pos": list(pos)} for pid, pos in tr.outputs],
-                    "targets": [{"state": tid, "shift": list(shift)}
-                                for tid, shift in tr.targets],
-                }
-                for name, tr in st.delta.items()
-            },
-        }
-        for sid, st in enumerate(a.states)
-    ]
+    names = [s.name for s in a.signature]
+    states = []
+    for st in a.states:
+        row = [st.label]
+        for tr in map(st.delta.__getitem__, names):
+            outs = [x for pid, pos in tr.outputs for x in (pid, len(pos))] \
+                if tr.outputs else ()
+            row.append((outs, [x for target in tr.targets for x in target]))
+        states.append(row)
     doc = {
         "version": SCHEMA_VERSION,
         "signature": [{"name": s.name, "arity": s.arity} for s in a.signature],
@@ -60,7 +58,9 @@ def to_json(a: SetAutomaton) -> str:
 def from_json(text: str) -> SetAutomaton:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError covers JSONDecodeError and an integer literal longer
+        # than the interpreter converts
         raise FormatError(f"invalid JSON: {e}", "$") from None
 
     _need(type(doc) is dict, "document must be an object")
@@ -112,63 +112,48 @@ def from_json(text: str) -> SetAutomaton:
 
     # One pass over the states.  Each check is written once, and the JSON
     # path of a value is formatted only when its check fails.
-    sym_names = [s.name for s in sig]
-    symbols = set(sym_names)
+    names = [s.name for s in sig]
+    row_length = len(names) + 1
     n_patterns = len(terms)
     width = sig.max_arity
     states: list[State] = []
     for i, entry in enumerate(raw_states):
-        if type(entry) is not dict:
-            _fail("must be an object", "states", i)
-        sid = entry.get("id")
-        if type(sid) is not int or sid != i:
-            _invalid(entry, "id", f"state ids must be dense and ascending (expected {i})",
-                     "states", i)
-        label = _position(entry, "label", width, "states", i)
-        raw_delta = entry.get("delta")
-        if type(raw_delta) is not dict:
-            _invalid(entry, "delta", "must be an object", "states", i)
-        if raw_delta.keys() != symbols:
-            for name in raw_delta:
-                if name not in symbols:
-                    _fail("symbol is not in the signature", "states", i, "delta", name)
+        if type(entry) is not list or len(entry) != row_length:
+            _fail(f"must be an array of a label and {len(names)} row entries, "
+                  "one per signature symbol", "states", i)
+        label = _position(entry[0], width, None, "states", i, 0)
         delta = {}
-        for name in sym_names:
-            tr = raw_delta.get(name)
-            if type(tr) is not dict:
-                if name not in raw_delta:
-                    _fail(f"missing transition for symbol '{name}'", "states", i, "delta")
-                _fail("must be an object", "states", i, "delta", name)
-            raw_outs = tr.get("outputs")
-            if type(raw_outs) is not list:
-                _invalid(tr, "outputs", "must be an array", "states", i, "delta", name)
+        for k, name in enumerate(names, 1):
+            pair = entry[k]
+            if type(pair) is not list or len(pair) != 2:
+                _fail(f"symbol '{name}': must be an array of outputs and targets",
+                      "states", i, k)
+            raw_outs, raw_tgts = pair
+            if type(raw_outs) is not list or len(raw_outs) % 2:
+                _fail(f"symbol '{name}': must be an array of pattern, depth pairs",
+                      "states", i, k, 0)
             outs = []
-            for j, o in enumerate(raw_outs):
-                if type(o) is not dict:
-                    _fail("must be an object", "states", i, "delta", name, "outputs", j)
-                pid = o.get("pattern")
+            for j in range(0, len(raw_outs), 2):
+                pid, depth = raw_outs[j], raw_outs[j + 1]
                 if type(pid) is not int or not 0 <= pid < n_patterns:
-                    _invalid(o, "pattern", "unknown pattern id",
-                             "states", i, "delta", name, "outputs", j)
-                pos = _position(o, "pos", width, "states", i, "delta", name, "outputs", j)
-                if label[:len(pos)] != pos:
-                    _fail(f"position {format_position(pos)} is not a prefix of the state's "
-                          f"label {format_position(label)}",
-                          "states", i, "delta", name, "outputs", j, "pos")
-                outs.append((pid, pos))
-            raw_tgts = tr.get("targets")
-            if type(raw_tgts) is not list:
-                _invalid(tr, "targets", "must be an array", "states", i, "delta", name)
+                    _fail(f"symbol '{name}': unknown pattern id {pid!r}",
+                          "states", i, k, 0, j)
+                if type(depth) is not int or not 0 <= depth <= len(label):
+                    _fail(f"symbol '{name}': depth {depth!r} must be an integer from 0 "
+                          f"to {len(label)}, the length of the state's label",
+                          "states", i, k, 0, j + 1)
+                outs.append((pid, label[:depth]))
+            if type(raw_tgts) is not list or len(raw_tgts) % 2:
+                _fail(f"symbol '{name}': must be an array of state, shift pairs",
+                      "states", i, k, 1)
             tgts = []
-            for j, t in enumerate(raw_tgts):
-                if type(t) is not dict:
-                    _fail("must be an object", "states", i, "delta", name, "targets", j)
-                tid = t.get("state")
+            for j in range(0, len(raw_tgts), 2):
+                tid = raw_tgts[j]
                 if type(tid) is not int or not 0 <= tid < n_states:
-                    _invalid(t, "state", f"unknown state id {tid!r}",
-                             "states", i, "delta", name, "targets", j)
-                tgts.append((tid, _position(t, "shift", width,
-                                            "states", i, "delta", name, "targets", j)))
+                    _fail(f"symbol '{name}': unknown state id {tid!r}",
+                          "states", i, k, 1, j)
+                tgts.append((tid, _position(raw_tgts[j + 1], width, name,
+                                            "states", i, k, 1, j + 1)))
             delta[name] = Transition(outputs=tuple(outs), targets=tuple(tgts))
         states.append(State(label=label, goals=None, delta=delta))
 
@@ -190,32 +175,25 @@ def _need(cond, message, *keys):
         _fail(message, *keys)
 
 
-def _invalid(obj, key, message, *keys):
-    """Raise for field ``key`` of the object at ``keys``: it is missing, or
-    its value is not what ``message`` asks for."""
-    if key not in obj:
-        _fail(f"missing field '{key}'", *keys)
-    _fail(message, *keys, key)
-
-
 def _field(obj, key, *keys):
     if key not in obj:
         _fail(f"missing field '{key}'", *keys)
     return obj[key]
 
 
-def _position(obj, key, width, *keys) -> tuple:
-    """Field ``key`` of the object at ``keys`` as a position: an array of
-    argument indices, each from 1 to ``width``."""
-    value = obj.get(key)
+def _position(value, width, symbol, *keys) -> tuple:
+    """``value``, found at ``keys``, as a position: an array of argument
+    indices, each from 1 to ``width``.  An error names ``symbol``, the row
+    entry the value lies in, if any."""
     if type(value) is list:
         for x in value:
             if type(x) is not int or not 1 <= x <= width:
                 break
         else:
             return tuple(value)
-        if all(type(x) is int and x >= 1 for x in value):
-            k = next(k for k, x in enumerate(value) if x > width)
-            _fail(f"step {value[k]} is above the signature's widest arity {width}",
-                  *keys, key, k)
-    _invalid(obj, key, "must be an array of positive integers", *keys)
+    prefix = f"symbol '{symbol}': " if symbol else ""
+    if type(value) is list and all(type(x) is int and x >= 1 for x in value):
+        k = next(k for k, x in enumerate(value) if x > width)
+        _fail(f"{prefix}step {value[k]} is above the signature's widest arity {width}",
+              *keys, k)
+    _fail(f"{prefix}must be an array of positive integers", *keys)

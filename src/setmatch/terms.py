@@ -223,7 +223,12 @@ def read_signature(text: str) -> Signature:
         if not sep or not (arity_text.isascii() and arity_text.isdigit()):
             raise SignatureError(f"line {lineno}: expected 'name/arity', got {line!r}")
         try:
-            sig.declare(name, int(arity_text))
+            arity = int(arity_text)
+        except ValueError:  # more digits than the interpreter converts
+            raise SignatureError(f"line {lineno}: arity of '{name}' has "
+                                 f"{len(arity_text)} digits") from None
+        try:
+            sig.declare(name, arity)
         except SignatureError as e:
             raise SignatureError(f"line {lineno}: {e}") from None
     return sig

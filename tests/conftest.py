@@ -119,21 +119,21 @@ def pattern_sets(draw, max_count: int = 4) -> PatternSet:
 
 
 def _damaged(patterns: str, edit) -> str:
-    """The document of ``patterns``, compiled and then changed by ``edit``."""
+    """The document of ``patterns``, compiled and then changed by ``edit``,
+    which gets its states and the row index of each symbol name."""
     doc = json.loads(to_json(build(PatternSet.from_text(patterns))))
-    edit(doc["states"])
+    edit(doc["states"], {s["name"]: k for k, s in enumerate(doc["signature"], 1)})
     return json.dumps(doc)
 
 
-def _self_loop(states):
-    states[1]["delta"]["a"]["targets"] = [{"state": 1, "shift": []}]
+def _self_loop(states, row):
+    states[1][row["a"]][1] = [1, []]
 
 
-def _doubling(states):
-    states[0]["delta"]["g"]["targets"] = [{"state": 0, "shift": [1]},
-                                          {"state": 1, "shift": [1]}]
-    states[1]["label"] = []
-    states[1]["delta"]["g"]["targets"] = [{"state": 0, "shift": []}]
+def _doubling(states, row):
+    states[0][row["g"]][1] = [0, [1], 1, [1]]
+    states[1][0] = []
+    states[1][row["g"]][1] = [0, []]
 
 
 # Hand-edited documents whose runs, unbounded, never end: name -> (automaton

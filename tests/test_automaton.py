@@ -268,28 +268,28 @@ def test_build_is_deterministic_in_process(nested_pattern_set):
     assert to_json(a1) == to_json(a2)
 
 
-# SHA-256 of to_json(build(ps, strategy)) in schema 3.  The document names
+# SHA-256 of to_json(build(ps, strategy)) in schema 4.  The document names
 # its label strategy, so the two strategies differ here even where they
 # build the same automaton; PINNED_STRUCTURES pins the automata themselves.
 PINNED_DOCUMENTS = {
-    ("nested", LEFTMOST): "976d993c7634dd927f8db0d7f083fe872e909954faec4b85897d86aca1902770",
-    ("nested", RIGHTMOST): "a0add4c9387e6e584bf0e6ebc6f7191158899ae8d2f6430a2764570572f01af0",
-    ("assoc", LEFTMOST): "cbee89bae54dd2e75c4666e08b77c2071a60c183e4cca0b3c99d4dac35c311f2",
-    ("assoc", RIGHTMOST): "79ecfefefe771d4910030f4aa015889bc042b400560abca2db2ddea62db929cf",
-    ("shared shift", LEFTMOST): "e5ea0a7022fa15ea142130017402e3635370c6ff50dcfef5007a2e8e098ddb88",
-    ("shared shift", RIGHTMOST): "61a1f4fc4730b459998dcaf5215fc0ba2620c9bfd5c6a1f81d9196d2a4e3dd02",
-    (0, LEFTMOST): "e6c4807dc21243e45990ce3553d2e1f22973be8944fb764fdef6605eb8dd0107",
-    (0, RIGHTMOST): "bd50d046ec9b584bbe904afdeb146cf88cde18b039d41943d28b430164e03295",
-    (1, LEFTMOST): "374f85ff028af9ec60fbfb807cb02100f307cbc975c3a6e3010e883f1ae27315",
-    (1, RIGHTMOST): "356a5ab5ad94f4df103da665d3eb1740569b52bd8249e365f38ca5785a3b1aa4",
-    (2, LEFTMOST): "92be6a62d1acc63f1cd32650842812b4e37565896a68fbabe6327653725cf9bf",
-    (2, RIGHTMOST): "b7b1b9f1098c45f61f2449ca20a6ce8dd0ada82fbf642c51acbfb0bfbfc13ca8",
-    (3, LEFTMOST): "da407c0659d1078612d64c6ad7b25a29db8c3cdbe78073ad0592e0517b1d3488",
-    (3, RIGHTMOST): "f3877a960c50aa6b38cfec7fc8826d0b27e1a9e380f072a9f5a6941e2d2c8e60",
-    (4, LEFTMOST): "18496755f45e62471209f2169ab717e35ba84f5e7c76044f7003f3b732f52a23",
-    (4, RIGHTMOST): "060c5514abd36ad5dab525f3feedc388bb68dd249962c6b333c6d283ee26ade7",
-    (5, LEFTMOST): "373c05b36c25dd8e512c71195817d68dcd604729cab3f12d2cb742d7edde2cf9",
-    (5, RIGHTMOST): "25820e8dbe54e84da70e892785bed20b702494119621e086eb9747df8f6a76b8",
+    ("nested", LEFTMOST): "2c138a880cbdb2929744188f56a780af1c4e4810fe0fa7966fc5b6c0dbe08bab",
+    ("nested", RIGHTMOST): "4783898774e16c48ad02c492ee0008f1197f19a1b80ad4a70e1b760c54a5316d",
+    ("assoc", LEFTMOST): "cc3c63cfed90a69bdd89530882be33d822e79864ac9a502971d88743da734b48",
+    ("assoc", RIGHTMOST): "878a7e830a2905993c476c6b13be5f577c306524537d9c4139123e7dbea394ae",
+    ("shared shift", LEFTMOST): "1c0b2661771ba96cc5710bf2a8a4d87cd0e077e1d16122b3207e061f66f27b4c",
+    ("shared shift", RIGHTMOST): "61d913df5166c0f3c79a78d4adad3ca6021d4721a159dba4e030e4cb211ecaa5",
+    (0, LEFTMOST): "ee3d8b58c358fb90af6402893bbd110a548507de0b77a2d813f82a74d487425f",
+    (0, RIGHTMOST): "daa3aa0a20c000ab2989d60e4260e5eb7caacd69b002d6f1289e44814420064c",
+    (1, LEFTMOST): "7b12ace6ddf638aa0f838df1b5126891231f608eeaef1e971a7d98853121242c",
+    (1, RIGHTMOST): "553ee23adec827ae84728008b43bfa47e165298deb29c74c7013e18e1c79cdc3",
+    (2, LEFTMOST): "07c88be18e19879a852d487cefae0e2598a12d45066e463c49b4dad145285cc5",
+    (2, RIGHTMOST): "a18837cd2ff5a3b1f47e472cae5d3adc48b649699b8a21478a8e4c66ad5d279a",
+    (3, LEFTMOST): "d4db85a104935e2f16936d24b1eb3253e0cb8b309c49440df402b14a8ebb3b7a",
+    (3, RIGHTMOST): "4b07db76677a335e217629b20e7cc4d334e2ac1d78d6815adc4a6113f1702483",
+    (4, LEFTMOST): "4df758776dd25dfec991de9c57de019555a271256a13d4da12c371ccefb20414",
+    (4, RIGHTMOST): "a9b7e295da693e72a96b93942a57f5b3c90389d8413905f0b17effaa11318a36",
+    (5, LEFTMOST): "ea9cf91a02e6d840d4e8319a455f78ba02ba55effa2b98ac25cebfc09f63e06a",
+    (5, RIGHTMOST): "3b5e22b034df4342be7e650056846da66b2709237d6c480e4335801345df81a4",
 }
 
 
@@ -351,7 +351,7 @@ def test_compiled_structures_are_pinned(request, name, strategy):
 # some symbols stay unmentioned.  (state count, SHA-256 over every to_json).
 COMPILE_PROFILES = ({0: 2, 1: 1, 2: 1, 3: 1}, {0: 2, 1: 2, 2: 2, 3: 2}, {0: 3, 3: 2})
 PINNED_COMPILE_DIGEST = (
-    2376, "aeeba553e654d0a93cd000e278d915bf606b493a42a5928d351fc96da7a1f688")
+    2376, "bd28e1deaf04bb72caa49b2a4409f0198074f76a0455e3616410b63ead8eff82")
 
 
 def _label_survivors(state, symbol, ps):
@@ -360,28 +360,49 @@ def _label_survivors(state, symbol, ps):
             and goal_outcome(g, symbol, state.label)[0] is Outcome.REDUCED]
 
 
-def test_compiled_output_is_pinned():
-    h, states, steps = hashlib.sha256(), 0, Counter()
-    mentioned = Counter()
+def _pinned_compilations():
+    """The seeded random sets over COMPILE_PROFILES, each with its automata
+    under both strategies: 360 compilations."""
     for profile in COMPILE_PROFILES:
         for seed in range(60):
             ps, _ = random_instance(seed, profile=profile,
                                     pattern_count=1 + seed % 6,
                                     pattern_depth=2 + seed % 3)
-            used = {subterm_at(p, q).symbol for p in ps for q in domain(p)} - {None}
-            mentioned[len(used) < len(ps.signature), 3 in {s.arity for s in used}] += 1
-            for strategy in (LEFTMOST, RIGHTMOST):
-                a = build(ps, strategy)
-                h.update(to_json(a).encode())
-                states += len(a.states)
-                for state in a.states:
-                    for symbol in a.signature:
-                        steps[bool(_label_survivors(state, symbol, ps))] += 1
+            yield ps, [build(ps, strategy) for strategy in (LEFTMOST, RIGHTMOST)]
+
+
+def test_compiled_output_is_pinned():
+    h, states, steps = hashlib.sha256(), 0, Counter()
+    mentioned = Counter()
+    for ps, automata in _pinned_compilations():
+        used = {subterm_at(p, q).symbol for p in ps for q in domain(p)} - {None}
+        mentioned[len(used) < len(ps.signature), 3 in {s.arity for s in used}] += 1
+        for a in automata:
+            h.update(to_json(a).encode())
+            states += len(a.states)
+            for state in a.states:
+                for symbol in a.signature:
+                    steps[bool(_label_survivors(state, symbol, ps))] += 1
     assert (states, h.hexdigest()) == PINNED_COMPILE_DIGEST
     # both kinds of step and of signature occur
     assert steps[True] and steps[False]
     assert {unmentioned for unmentioned, _ in mentioned} == {True, False}
     assert any(ternary for _, ternary in mentioned)
+
+
+def test_compiled_documents_load_back_to_their_automata():
+    # every document hashed into PINNED_COMPILE_DIGEST loads back to the
+    # automaton it was written from, so a new schema changes that digest
+    # by the document bytes alone
+    for _, automata in _pinned_compilations():
+        for a in automata:
+            text = to_json(a)
+            b = from_json(text)
+            assert (b.initial, len(b.states)) == (a.initial, len(a.states))
+            for sa, sb in zip(a.states, b.states):
+                assert sb.label == sa.label
+                assert list(sb.delta.items()) == list(sa.delta.items())
+            assert to_json(b) == text
 
 
 def test_every_obligation_term_is_the_subterm_its_position_names():

@@ -91,7 +91,9 @@ def test_compile_missing_file_is_usage_error(tmp_path, capsys):
     ("signature", "f/x\n", "line 1: expected 'name/arity', got 'f/x'"),
     ("signature", "a/\u00b3\n", "line 1: expected 'name/arity', got 'a/\u00b3'"),
     ("signature", "a/\u0663\n", "line 1: expected 'name/arity', got 'a/\u0663'"),
-], ids=["patterns", "signature", "superscript-arity", "arabic-indic-arity"])
+    ("signature", "f/" + "9" * 5000 + "\n", "line 1: arity of 'f' has 5000 digits"),
+], ids=["patterns", "signature", "superscript-arity", "arabic-indic-arity",
+        "huge-arity"])
 def test_compile_errors_on_stdin_name_stdin(tmp_path, capsys, monkeypatch, kind,
                                             stdin, message):
     good = tmp_path / "good.patterns"
@@ -184,8 +186,8 @@ def test_match_verify_catches_a_corrupt_automaton(compiled, tmp_path, capsys):
     auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
     doc = json.loads(auto.read_text())
     for state in doc["states"]:
-        for tr in state["delta"].values():
-            tr["outputs"] = []
+        for entry in state[1:]:
+            entry[0] = []
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     term = _write_term(tmp_path, "f(f(a, a), a)")
@@ -204,7 +206,7 @@ def test_match_verify_checks_the_automaton_by_rebuilding_it(compiled, tmp_path,
     assert rc == 0
     assert "verified" in capsys.readouterr().err
     doc = json.loads(auto.read_text())
-    doc["states"][1]["label"] = [2]
+    doc["states"][1][0] = [2]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     rc = main(["match", "--automaton", str(bad), "--term", str(term), "--verify"])
@@ -219,7 +221,7 @@ def test_match_verify_checks_the_automaton_by_rebuilding_it(compiled, tmp_path,
 def test_match_verify_names_stdin(compiled, tmp_path, capsys, monkeypatch):
     auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
     doc = json.loads(auto.read_text())
-    doc["states"][1]["label"] = [2]
+    doc["states"][1][0] = [2]
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps(doc).encode()),
                                                       encoding="utf-8"))
     capsys.readouterr()
@@ -301,7 +303,7 @@ def test_match_reports_a_broken_automaton_in_one_line(compiled, tmp_path,
     auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
     doc = json.loads(auto.read_text())
     for state in doc["states"]:
-        state["label"] = [2, 2, 2]
+        state[0] = [2, 2, 2]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     term = _write_term(tmp_path, "f(a, a)")
@@ -314,14 +316,14 @@ def test_match_reports_a_broken_automaton_in_one_line(compiled, tmp_path,
 
 
 def test_match_rejects_an_output_off_the_label_path(compiled, tmp_path, capsys):
-    # an output announces at a prefix of its state's label; one moved two
-    # steps further would report f(_,a) at 2.2, a node f(a, a) lacks
+    # an output announces at a prefix of its state's label, named by its
+    # depth; one past the label's end would announce below the path
+    # inspected, where f(a, a) may have no node
     auto = compiled("fa", "f(_, a)\n", signature="f/2\na/0\n")
     doc = json.loads(auto.read_text())
     for state in doc["states"]:
-        for tr in state["delta"].values():
-            for out in tr["outputs"]:
-                out["pos"] += [2, 2]
+        for outputs, _ in state[1:]:
+            outputs[1::2] = [len(state[0]) + 1] * (len(outputs) // 2)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     term = _write_term(tmp_path, "f(a, a)")
@@ -330,8 +332,7 @@ def test_match_rejects_an_output_off_the_label_path(compiled, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert rc == 2
     assert out == ""
-    assert err.startswith("error: ") and "outputs[0].pos" in err
-    assert "not a prefix of the state's label" in err
+    assert err.startswith(f"error: {bad}: $.states[1][2][0][1]: symbol 'a': depth 2 ")
     assert len(err.splitlines()) == 1
 
 
@@ -413,7 +414,7 @@ def test_deeply_nested_automaton_json_is_a_one_line_error(tmp_path, capsys,
 @pytest.mark.parametrize("command", ["match", "export-dot"])
 def test_automaton_format_error_names_the_file(tmp_path, capsys, command):
     doc = tmp_path / "doc.json"
-    doc.write_text('{"version": 3}')
+    doc.write_text('{"version": 4}')
     term = _write_term(tmp_path, "a")
     argv = {"match": ["match", "--automaton", str(doc), "--term", str(term)],
             "export-dot": ["export-dot", "--automaton", str(doc),
@@ -421,6 +422,58 @@ def test_automaton_format_error_names_the_file(tmp_path, capsys, command):
     assert main(argv) == 2
     assert capsys.readouterr().err \
         == f"error: {doc}: $: missing field 'signature'\n"
+
+
+def test_an_integer_longer_than_the_interpreter_converts_is_a_one_line_error(
+        compiled, tmp_path, capsys):
+    # with the interpreter's limit on int conversion the text fails to
+    # decode; without it the value loads and fails the range check
+    auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text(auto.read_text().replace('"initial":0', '"initial":' + "1" * 5000))
+    capsys.readouterr()
+    rc = main(["match", "--automaton", str(bad), "--term", str(_write_term(tmp_path, "a"))])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", ["patterns", "signature", "automaton", "term", "stdin"])
+def test_a_leading_byte_order_mark_is_skipped(compiled, tmp_path, capsys, monkeypatch,
+                                             kind):
+    auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
+    term = _write_term(tmp_path, "f(f(a, a), a)")
+    plain = {"patterns": ROTATION, "signature": "f/2\na/0\n",
+             "automaton": auto.read_text(), "term": term.read_text(),
+             "stdin": term.read_text()}[kind]
+    marked = tmp_path / "marked.txt"
+    marked.write_text("\ufeff" + plain, encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(marked.read_bytes()),
+                                                      encoding="utf-8"))
+    if kind in ("patterns", "signature"):
+        out = tmp_path / "out.json"
+        files = {"patterns": [marked, tmp_path / "rot.sig"],
+                 "signature": [tmp_path / "rot.patterns", marked]}[kind]
+        argv = ["compile", "--patterns", files[0], "--signature", files[1], "--out", out]
+        assert main([str(arg) for arg in argv]) == 0
+        assert out.read_text() == auto.read_text()
+        return
+    argv = {"automaton": ["--automaton", marked, "--term", term],
+            "term": ["--automaton", auto, "--term", marked],
+            "stdin": ["--automaton", auto, "--term", "-"]}[kind]
+    capsys.readouterr()
+    assert main(["match", *map(str, argv)]) == 0
+    assert capsys.readouterr().out == "f(f(_,_),_) @ ε\n"
+
+
+def test_offsets_count_from_after_a_byte_order_mark(compiled, tmp_path, capsys):
+    auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
+    term = tmp_path / "subject.term"
+    term.write_text("\ufefff(a,\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["match", "--automaton", str(auto), "--term", str(term)]) == 2
+    assert capsys.readouterr().err == f"error: {term}: offset 5: expected a term\n"
 
 
 def test_non_utf8_stdin_reads_as_a_file_does_in_utf8_mode(compiled, tmp_path):

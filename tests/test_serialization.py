@@ -70,10 +70,13 @@ def test_round_trip_keeps_goals_of_random_pattern_sets(seed):
 
 def test_documents_hold_no_goals(assoc_automaton):
     doc = _doc(assoc_automaton)
-    assert doc["version"] == SCHEMA_VERSION == 3
+    assert doc["version"] == SCHEMA_VERSION == 4
     assert list(doc) == ["version", "signature", "patterns", "label_strategy",
                          "initial", "states"]
-    assert all(list(entry) == ["id", "label", "delta"] for entry in doc["states"])
+    # a state is its label, then one [outputs, targets] entry per symbol
+    width = 1 + len(doc["signature"])
+    assert all(len(entry) == width and all(len(e) == 2 for e in entry[1:])
+               for entry in doc["states"])
     assert all(s.goals is None for s in from_json(json.dumps(doc)).states)
 
 
@@ -99,7 +102,7 @@ def test_each_distinct_term_text_is_parsed_once(monkeypatch, assoc_automaton):
 
 def test_rejects_version_1_and_asks_to_recompile(nested_automaton):
     doc = _doc(nested_automaton)
-    for version in (1, 2):
+    for version in (1, 2, 3):
         doc["version"] = version
         _expect_error(doc, "$.version")
         _expect_error(doc, "recompile")
@@ -114,49 +117,60 @@ def test_rejects_unknown_label_strategy(nested_automaton, strategy):
     _expect_error(doc, "missing field 'label_strategy'")
 
 
+# The nested automaton's states, with the symbols f, g, a at row entries 1 to
+# 3: [[], [[], [1, []]], [[], [0, [1]]], [[], []]] is state 0.
 @pytest.mark.parametrize("where, value, message", [
-    (("states", 3, "delta", "g", "outputs"), [{"pattern": 0, "pos": [1, 0]}],
-     "$.states[3].delta.g.outputs[0].pos: must be an array of positive integers"),
-    (("states", 1, "delta", "f", "targets"), [{"state": 0, "shift": []}, {"shift": []}],
-     "$.states[1].delta.f.targets[1]: missing field 'state'"),
-    (("states", 1, "delta", "f", "targets"), [{"state": 0, "shift": [True]}],
-     "$.states[1].delta.f.targets[0].shift: must be an array of positive integers"),
-    (("states", 2, "delta", "a"), [],
-     "$.states[2].delta.a: must be an object"),
-    (("states", 0, "delta", "g", "outputs"), {},
-     "$.states[0].delta.g.outputs: must be an array"),
+    (("states", 3, 2, 0), [0, -1],
+     "$.states[3][2][0][1]: symbol 'g': depth -1 must be an integer from 0 to 2, "
+     "the length of the state's label"),
+    (("states", 1, 1, 1), [0, [], 1],
+     "$.states[1][1][1]: symbol 'f': must be an array of state, shift pairs"),
+    (("states", 1, 1, 1), [0, [True]],
+     "$.states[1][1][1][1]: symbol 'f': must be an array of positive integers"),
+    (("states", 2, 3), {},
+     "$.states[2][3]: symbol 'a': must be an array of outputs and targets"),
+    (("states", 0, 2, 0), {},
+     "$.states[0][2][0]: symbol 'g': must be an array of pattern, depth pairs"),
     # a step above the widest arity (2) would walk off every subject
-    (("states", 1, "label"), [9],
-     "$.states[1].label[0]: step 9 is above the signature's widest arity 2"),
-    (("states", 1, "delta", "g", "outputs"), [{"pattern": 0, "pos": [2, 3]}],
-     "$.states[1].delta.g.outputs[0].pos[1]: step 3 is above the signature's "
+    (("states", 1, 0), [9],
+     "$.states[1][0][0]: step 9 is above the signature's widest arity 2"),
+    (("states", 1, 2, 1), [2, [], 0, [2, 3]],
+     "$.states[1][2][1][3][1]: symbol 'g': step 3 is above the signature's "
      "widest arity 2"),
-    (("states", 0, "delta", "f", "targets"), [{"state": 1, "shift": [1, 1, 7]}],
-     "$.states[0].delta.f.targets[0].shift[2]: step 7 is above the signature's "
+    (("states", 0, 1, 1), [1, [1, 1, 7]],
+     "$.states[0][1][1][1][2]: symbol 'f': step 7 is above the signature's "
      "widest arity 2"),
-    # an undeclared symbol is reported before a bad entry or a missing symbol
-    (("states", 1, "delta"), {"f": {"outputs": [{"pos": [0]}], "targets": []},
-                              "zz": {}},
-     "$.states[1].delta.zz: symbol is not in the signature"),
+    # a row without one entry per symbol is reported before a bad entry
+    (("states", 1), [[2], [[0], []], [[], []], [[], []], [[], []]],
+     "$.states[1]: must be an array of a label and 3 row entries, one per "
+     "signature symbol"),
     # a step of 0 makes the whole array bad, before the 9 is range-checked
-    (("states", 1, "label"), [9, 0],
-     "$.states[1].label: must be an array of positive integers"),
-    (("states", 2, "delta", "f", "targets"), [{"state": 1, "shift": [9, 0]}],
-     "$.states[2].delta.f.targets[0].shift: must be an array of positive integers"),
-    # per entry: the missing id field, then an unknown id, then the position
-    (("states", 1, "delta", "g", "outputs"), [{"pos": [0]}],
-     "$.states[1].delta.g.outputs[0]: missing field 'pattern'"),
-    (("states", 1, "delta", "g", "outputs"), [{"pattern": 7}],
-     "$.states[1].delta.g.outputs[0].pattern: unknown pattern id"),
-    (("states", 1, "delta", "g", "outputs"), [{"pattern": 0}],
-     "$.states[1].delta.g.outputs[0]: missing field 'pos'"),
-    (("states", 1, "delta", "g", "targets"), [{"state": True, "shift": [0]}],
-     "$.states[1].delta.g.targets[0].state: unknown state id True"),
-    # after the range check, a well-formed output position must lie on its
-    # state's label
-    (("states", 1, "delta", "g", "outputs"), [{"pattern": 0, "pos": [2, 2]}],
-     "$.states[1].delta.g.outputs[0].pos: position 2.2 is not a prefix of the "
-     "state's label 2"),
+    (("states", 1, 0), [9, 0],
+     "$.states[1][0]: must be an array of positive integers"),
+    (("states", 2, 1, 1), [1, [9, 0]],
+     "$.states[2][1][1][1]: symbol 'f': must be an array of positive integers"),
+    # per pair: the id, then the depth or shift
+    (("states", 1, 2, 0), [7, 9],
+     "$.states[1][2][0][0]: symbol 'g': unknown pattern id 7"),
+    (("states", 1, 2, 0), [True, 0],
+     "$.states[1][2][0][0]: symbol 'g': unknown pattern id True"),
+    (("states", 1, 2, 0), [0, [0]],
+     "$.states[1][2][0][1]: symbol 'g': depth [0] must be an integer from 0 to 1"),
+    (("states", 1, 2, 1), [True, [0]],
+     "$.states[1][2][1][0]: symbol 'g': unknown state id True"),
+    # a depth past the label's end would announce off the path inspected
+    (("states", 1, 2, 0), [0, 2],
+     "$.states[1][2][0][1]: symbol 'g': depth 2 must be an integer from 0 to 1, "
+     "the length of the state's label"),
+    # the label first, then each entry in signature order, outputs first
+    (("states", 2), [[0], 5, 5, 5],
+     "$.states[2][0]: must be an array of positive integers"),
+    (("states", 2, 1), [[0, 5], [9, []]],
+     "$.states[2][1][0][1]: symbol 'f': depth 5 must be an integer from 0 to 1"),
+    (("states", 2, 3), [[], [], []],
+     "$.states[2][3]: symbol 'a': must be an array of outputs and targets"),
+    (("states", 0), [],
+     "$.states[0]: must be an array of a label and 3 row entries"),
 ])
 def test_rejects_nested_entries_with_their_exact_path(nested_automaton, where,
                                                       value, message):
@@ -171,9 +185,10 @@ def test_rejects_nested_entries_with_their_exact_path(nested_automaton, where,
 
 
 # Values a broken document may hold in place of any of its own: wrong
-# types, True for an id, and positions with steps out of range.
+# types, True for an id, positions with steps out of range, an empty row
+# entry and a target pair.
 LOAD_VALUES = (None, True, 0, 1, -1, 2, 9, 1.5, "f", [], [0], [1], [9], [9, 0],
-               [1, True], {}, {"state": 0, "shift": []})
+               [1, True], {}, [[], []], [0, []])
 
 
 def _paths(node, path=()):
@@ -187,11 +202,11 @@ def _paths(node, path=()):
 
 def _break(doc, paths, rng) -> str:
     """Apply one random edit to ``doc`` in place and say what it did: replace
-    a value, delete a key or list entry, or add or drop a ``delta`` symbol.
-    ``paths`` holds the unedited document's paths, then its ``delta`` paths."""
+    a value, delete a key or list entry, or add or drop a row entry.
+    ``paths`` holds the unedited document's paths, then its state paths."""
     while True:
-        kind = rng.choice(("value", "value", "delete", "delta"))
-        path = rng.choice(paths[kind == "delta"])
+        kind = rng.choice(("value", "value", "delete", "row"))
+        path = rng.choice(paths[kind == "row"])
         parent = doc
         try:
             for key in path[:-1]:
@@ -202,15 +217,15 @@ def _break(doc, paths, rng) -> str:
             continue  # an earlier edit took it away
     if kind == "value":
         parent[path[-1]] = rng.choice(LOAD_VALUES)
-    elif kind == "delete" or not isinstance(node, dict):
+    elif kind == "delete" or not isinstance(node, list) or not node:
         kind = "delete"
         del parent[path[-1]]
-    elif rng.random() < 0.5 or not node:
-        kind = "extra symbol"
-        node[rng.choice(("zz", "a"))] = {"outputs": [], "targets": []}
+    elif rng.random() < 0.5 or len(node) == 1:
+        kind = "extra row entry"
+        node.insert(rng.randint(1, len(node)), [[], []])
     else:
-        kind = "missing symbol"
-        del node[rng.choice(sorted(node))]
+        kind = "dropped row entry"
+        del node[rng.randrange(1, len(node))]
     return f"{kind} {path}"
 
 
@@ -223,7 +238,7 @@ def _pinned_load_documents():
         for strategy in (RIGHTMOST, LEFTMOST):
             base = to_json(build(ps, strategy))
             every = list(_paths(json.loads(base)))
-            paths = (every, [p for p in every if p[-1] == "delta"])
+            paths = (every, [p for p in every if len(p) == 2 and p[0] == "states"])
             for _ in range(150):
                 doc = json.loads(base)
                 edits = [_break(doc, paths, rng) for _ in range(rng.choice((1, 1, 2)))]
@@ -231,7 +246,7 @@ def _pinned_load_documents():
 
 
 PINNED_LOAD_OUTCOMES = (
-    2400, "af903abb81839949c024af75a15b17afce790d415e110871d912c9a638560bd7")
+    2400, "c6086e9848b2eac4440dac54ccb30aa6115814a604bdad6b9874a35eb928bdd1")
 
 
 def test_load_outcomes_are_pinned():
@@ -258,8 +273,8 @@ def test_rejects_bool_initial(nested_automaton):
 
 def test_rejects_bool_state_id(nested_automaton):
     doc = _doc(nested_automaton)
-    doc["states"][1]["id"] = True
-    _expect_error(doc, "id")
+    doc["states"][1][1][1][0] = True
+    _expect_error(doc, "$.states[1][1][1][0]: symbol 'f': unknown state id True")
 
 
 def _doc(a):
@@ -287,6 +302,16 @@ def test_rejects_json_nested_past_the_decoder_limit(text):
     assert e.value.reason.startswith("invalid JSON: ")
 
 
+def test_rejects_an_integer_longer_than_the_interpreter_converts(nested_automaton):
+    text = to_json(nested_automaton).replace('"initial":0', '"initial":' + "1" * 5000)
+    with pytest.raises(FormatError) as e:
+        from_json(text)
+    # where the interpreter converts any length, the value loads and fails
+    # the range check instead
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert e.value.path == ("$" if 0 < limit < 5000 else "$.initial")
+
+
 def test_rejects_wrong_version(nested_automaton):
     doc = _doc(nested_automaton)
     doc["version"] = 99
@@ -295,38 +320,32 @@ def test_rejects_wrong_version(nested_automaton):
 
 def test_rejects_unknown_target_state(nested_automaton):
     doc = _doc(nested_automaton)
-    doc["states"][0]["delta"]["f"]["targets"][0]["state"] = 12
-    _expect_error(doc, "state")
+    doc["states"][0][1][1][0] = 12
+    _expect_error(doc, "unknown state id 12")
 
 
 def test_rejects_missing_delta_symbol(nested_automaton):
     doc = _doc(nested_automaton)
-    del doc["states"][1]["delta"]["g"]
-    _expect_error(doc, "delta")
+    del doc["states"][1][2]
+    _expect_error(doc, "$.states[1]: must be an array of a label and 3 row entries")
 
 
 def test_rejects_undeclared_delta_symbol(nested_automaton):
     doc = _doc(nested_automaton)
-    doc["states"][1]["delta"]["zzz"] = {"outputs": [], "targets": []}
-    _expect_error(doc, "delta")
+    doc["states"][1].append([[], []])
+    _expect_error(doc, "$.states[1]: must be an array of a label and 3 row entries")
 
 
 def test_rejects_bad_label(nested_automaton):
     doc = _doc(nested_automaton)
-    doc["states"][2]["label"] = [0]
-    _expect_error(doc, "label")
-
-
-def test_rejects_non_dense_state_ids(nested_automaton):
-    doc = _doc(nested_automaton)
-    doc["states"][1]["id"] = 7
-    _expect_error(doc, "id")
+    doc["states"][2][0] = [0]
+    _expect_error(doc, "$.states[2][0]: must be an array of positive integers")
 
 
 def test_rejects_out_of_range_output_pattern(nested_automaton):
     doc = _doc(nested_automaton)
-    doc["states"][3]["delta"]["g"]["outputs"] = [{"pattern": 5, "pos": []}]
-    _expect_error(doc, "pattern")
+    doc["states"][3][2][0] = [5, 0]
+    _expect_error(doc, "$.states[3][2][0][0]: symbol 'g': unknown pattern id 5")
 
 
 def test_rejects_duplicate_patterns(nested_automaton):
@@ -348,20 +367,18 @@ def test_rejects_bool_arity(nested_automaton):
 
 
 def _relabel(doc):
-    doc["states"][1]["label"] = [1]
+    doc["states"][1][0] = [1]
 
 
 def _swap_targets(doc):
-    delta = doc["states"][0]["delta"]
-    f, g = delta["f"]["targets"][0], delta["g"]["targets"][0]
-    assert f["state"] != g["state"]
-    f["state"], g["state"] = g["state"], f["state"]
+    f, g = doc["states"][0][1][1], doc["states"][0][2][1]  # first target ids at 0
+    assert f[0] != g[0]
+    f[0], g[0] = g[0], f[0]
 
 
 def _drop_output(doc):
-    tr = next(tr for entry in doc["states"] for tr in entry["delta"].values()
-              if tr["outputs"])
-    tr["outputs"].pop()
+    outputs = next(outs for entry in doc["states"] for outs, _ in entry[1:] if outs)
+    del outputs[-2:]
 
 
 def _flip_strategy(doc):

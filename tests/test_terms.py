@@ -71,6 +71,9 @@ def test_read_signature_errors():
     for digit in "\u00b3\u0663":  # superscript and Arabic-Indic 3: str.isdigit holds
         with pytest.raises(SignatureError, match="line 2: expected 'name/arity'"):
             read_signature(f"f/2\na/{digit}\n")
+    # more digits than the interpreter converts to an int
+    with pytest.raises(SignatureError, match="line 2: arity of 'h' has 5000 digits"):
+        read_signature("f/2\nh/" + "9" * 5000 + "\n")
 
 
 def test_parse_nested_pattern(sig_fga):
