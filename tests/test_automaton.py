@@ -410,18 +410,14 @@ def test_every_obligation_term_is_the_subterm_its_position_names():
     # the term at an obligation position of a goal of pattern p announced at
     # A is always p's subterm at the rest of that position after A
     goals = 0
-    for profile in COMPILE_PROFILES:
-        for seed in range(60):
-            ps, _ = random_instance(seed, profile=profile,
-                                    pattern_count=1 + seed % 6,
-                                    pattern_depth=2 + seed % 3)
-            for strategy in (LEFTMOST, RIGHTMOST):
-                for state in build(ps, strategy).states:
-                    for g in state.goals:
-                        goals += 1
-                        for term, pos in g.obligation:
-                            assert prefix_leq(pos, g.announce)
-                            assert term == subterm_at(ps[g.pattern], pos[len(g.announce):])
+    for ps, automata in _pinned_compilations():
+        for a in automata:
+            for state in a.states:
+                for g in state.goals:
+                    goals += 1
+                    for term, pos in g.obligation:
+                        assert prefix_leq(pos, g.announce)
+                        assert term == subterm_at(ps[g.pattern], pos[len(g.announce):])
     assert goals > 20000
 
 

@@ -74,8 +74,8 @@ def test_documents_hold_no_goals(assoc_automaton):
     assert list(doc) == ["version", "signature", "patterns", "label_strategy",
                          "initial", "states"]
     # a state is its label, then one [outputs, targets] entry per symbol
-    width = 1 + len(doc["signature"])
-    assert all(len(entry) == width and all(len(e) == 2 for e in entry[1:])
+    length = 1 + len(doc["signature"])
+    assert all(len(entry) == length and all(len(e) == 2 for e in entry[1:])
                for entry in doc["states"])
     assert all(s.goals is None for s in from_json(json.dumps(doc)).states)
 
