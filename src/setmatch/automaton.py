@@ -49,8 +49,9 @@ class Transition:
     Every output's position is a prefix of the state's label, so a match
     lies on the path its inspection walked: ``build`` makes it so, a
     document names each output by its depth into the label, and
-    ``verify_automaton`` catches an automaton edited in Python.  Evaluation
-    relies on it and does not check it per output.
+    ``verify_automaton`` catches an automaton edited in Python, which
+    ``to_json`` refuses to write.  Evaluation relies on it and does not
+    check it per output.
     """
 
     outputs: tuple[Announcement, ...]

@@ -1,17 +1,23 @@
 """Run a compiled automaton over a closed subject term.
 
+The subject is read in preorder, as the symbol names and subtree ends of
+:class:`~setmatch.terms.Flat`: a parsed subject brings that form, and a
+built term is flattened by one walk first, so a run builds no ``Term``.
+Its symbols are checked against the automaton's signature once per run,
+before the first item.
+
 The unit of work is the paper's (state, pointer) item.  Processing an item
 inspects exactly one subject symbol, the one at pointer + state label,
 announces the transition's outputs shifted by the pointer, and enqueues one
 child item per target.  Every subject position is inspected exactly once
 over the whole run, so a run that needs more items than the subject has
-nodes has met a damaged automaton and raises ``InvariantError``; the
-subject is measured only once a run passes SIZE_CHECK_AFTER items.  The
+nodes has met a damaged automaton and raises ``InvariantError``; the flat
+form knows the node count, so that bound is one compare per item.  The
 order in which the work set is drained (LIFO, FIFO, or in dealt shares)
 changes nothing about the reported match set.
 
 A pointer is a parent-linked cell ``[parent cell, shift, position or None,
-subterm]``, shared with the parent when the shift is empty.  Its position
+node]``, shared with the parent when the shift is empty.  Its position
 tuple is built only for a cell whose item announces a match, so one run
 costs time linear in the subject plus the size of its matches.  A match
 position below a pointer is kept once per run in one table.  Every
@@ -36,10 +42,9 @@ from itertools import chain, islice
 from .automaton import SetAutomaton
 from .errors import InvariantError, SubjectError
 from .positions import Position, format_position
-from .terms import Term, term_size
+from .terms import Term
 
-MAX_WORKERS = 64  # below SIZE_CHECK_AFTER, so the FIFO prefix of Parallel needs no bound
-SIZE_CHECK_AFTER = 4096  # items a run drains before it measures its subject
+MAX_WORKERS = 64
 # A repeated transition's outputs cost the whole-tuple path about 200 ns +
 # 12 ns per step of the match position, per output.  The chain walk costs
 # about 150 ns, plus 450 ns per output that grows the chain and 180 ns per
@@ -111,8 +116,9 @@ def evaluate(a: SetAutomaton, subject: Term, strategy=DepthFirst(), *,
     records every inspected position; it builds one position tuple per
     subject node, so it is a debugging aid, quadratic in the depth of the
     subject.  ``carry_subterms`` is accepted and ignored: every pointer
-    holds its subterm.  Raises ``InvariantError`` when the run needs more
-    work items than the subject has nodes.
+    holds its subject node.  Raises ``SubjectError`` for a wildcard or a
+    symbol outside ``a``'s signature, and ``InvariantError`` when the run
+    needs more work items than the subject has nodes.
     """
     log: list | None = [] if instrument else None
     matches: list = []
@@ -132,11 +138,12 @@ def _run(a, subject, strategy, matches, log) -> int:
 
     ``Parallel(n)`` drains ``n`` items FIFO and deals the waiting ones into
     ``n`` shares; queued on one LIFO deque, a share and all its descendants
-    finish before the next one starts.  The subject is measured only when
-    the run passes SIZE_CHECK_AFTER items.  Every drain of the run shares
-    one position table ``shared`` and one step trie ``below``.
+    finish before the next one starts.  Every drain of the run shares one
+    position table ``shared`` and one step trie ``below``.
     """
-    work = deque([(a.initial, [None, (), (), subject])])
+    names, ends = _preorder(a.signature, subject)
+    size = len(names)
+    work = deque([(a.initial, [None, (), (), 0])])
     fifo = isinstance(strategy, BreadthFirst)
     shared: dict = {}
     # Liveness: every tuple whose id keys ``below`` is a value of ``shared``,
@@ -147,25 +154,80 @@ def _run(a, subject, strategy, matches, log) -> int:
     done = 0
     if isinstance(strategy, Parallel):
         n = strategy.workers
-        done = _drain(a, work, True, matches, log, shared, below, n)
+        done = _drain(a, names, ends, work, True, matches, log, shared, below,
+                      min(n, size))
         items = list(work)
         work = deque(chain.from_iterable(items[k::n] for k in reversed(range(n))))
-    done += _drain(a, work, fifo, matches, log, shared, below,
-                   SIZE_CHECK_AFTER - done)
+    done += _drain(a, names, ends, work, fifo, matches, log, shared, below,
+                   size - done)
     if work:
-        size = term_size(subject)
-        done += _drain(a, work, fifo, matches, log, shared, below, size - done)
-        if work:
-            raise _overrun(size)
+        raise _overrun(size)
     return done
 
 
-def _drain(a, work, fifo, matches, log, shared, below, limit) -> int:
+def _preorder(sig, subject: Term):
+    """The subject's symbol names and subtree ends in preorder (see
+    :class:`~setmatch.terms.Flat`), every symbol checked against ``sig``.
+
+    A parsed subject brings its flat form.  Parsed against ``sig`` itself,
+    it needs a check only for wildcards; parsed against another signature,
+    each distinct name is checked once.  A built term is flattened by one
+    preorder walk that checks each node.  The first fault in preorder
+    raises ``SubjectError``.
+    """
+    known = sig._by_name.get
+    flat = getattr(subject, "_flat", None)
+    if flat is not None:
+        if flat.signature is not sig:
+            theirs = flat.signature._by_name.get
+            for name in dict.fromkeys(flat.names):
+                _check_symbol(theirs(name), known)
+        elif flat.wildcards:
+            _check_symbol(None, known)
+        return flat.names, flat.ends
+    names: list = []
+    ends: list = []
+    stack: list = [subject]
+    while stack:
+        node = stack.pop()
+        if type(node) is int:  # the subtree of node ``node`` is done
+            ends[node] = len(names)
+            continue
+        sym = node.symbol
+        _check_symbol(sym, known)
+        k = len(names)
+        names.append(sym.name)
+        kids = node.children
+        if kids:
+            ends.append(0)
+            stack.append(k)
+            stack.extend(reversed(kids))
+        else:
+            ends.append(k + 1)
+    return names, ends
+
+
+def _check_symbol(sym, known) -> None:
+    """Raise ``SubjectError`` unless ``sym`` is a symbol of the signature
+    whose lookup is ``known``."""
+    if sym is None:
+        raise SubjectError("subject terms must not contain wildcards")
+    have = known(sym.name)
+    if have is not sym and have != sym:
+        raise SubjectError(
+            f"subject symbol '{sym.name}' (arity {sym.arity}) is not in the "
+            "automaton signature")
+
+
+def _drain(a, names, ends, work, fifo, matches, log, shared, below, limit) -> int:
     """Process (state id, pointer cell) items of ``work`` until it is empty
     or ``limit`` items are done.
 
-    Appends announcements to ``matches``, keeping each position below a
-    pointer once in ``shared``, and, when ``log`` is a list, one (state id,
+    The subject is ``names`` and ``ends`` in preorder; child ``i`` of node
+    ``k`` is reached from node ``k + 1`` by ``i - 1`` skips to a subtree's
+    end, each checked against the end of node ``k``'s subtree.  Appends
+    announcements to ``matches``, keeping each position below a pointer
+    once in ``shared``, and, when ``log`` is a list, one (state id,
     pointer, fan-out) entry per item.  Below a pointer position shorter
     than LONG, a match position is built whole and looked up in
     ``shared``.  Below a longer one, ``reached`` holds the positions
@@ -175,11 +237,10 @@ def _drain(a, work, fifo, matches, log, shared, below, limit) -> int:
     label, so they all extend one chain, and each costs one lookup per step
     it adds.  ``below`` maps (id of a position, step) to the interned child
     position; a missing child is built with one concatenation and interned
-    in ``shared``.  Returns the number of items processed; the callers hold
+    in ``shared``.  Returns the number of items processed; the caller holds
     that number to the subject's node count.
     """
     states = a.states
-    known = a.signature._by_name.get
     pop = work.popleft if fifo else work.pop
     push = work.append
     done = 0
@@ -188,19 +249,14 @@ def _drain(a, work, fifo, matches, log, shared, below, limit) -> int:
         state = states[sid]
         node = here = cell[3]
         for i in state.label:
-            kids = node.children
-            if i < 1 or i > len(kids):
-                raise _off_subject(cell, state.label, shared, below)
-            node = kids[i - 1]
-        sym = node.symbol
-        if sym is None:
-            raise SubjectError("subject terms must not contain wildcards")
-        name = sym.name
-        have = known(name)
-        if have is not sym and have != sym:
-            raise SubjectError(
-                f"subject symbol '{name}' (arity {sym.arity}) is not in the "
-                "automaton signature")
+            end = ends[node]
+            node += 1
+            while i > 1 and node < end:
+                node = ends[node]
+                i -= 1
+            if i != 1 or node >= end:
+                raise _off_subject(ends, cell, state.label, shared, below)
+        name = names[node]
         tr = state.delta.get(name)
         if tr is None:
             raise InvariantError(f"state {sid} has no transition for '{name}'")
@@ -235,10 +291,13 @@ def _drain(a, work, fifo, matches, log, shared, below, limit) -> int:
             if shift:
                 sub = here
                 for i in shift:
-                    kids = sub.children
-                    if i < 1 or i > len(kids):
-                        raise _off_subject(cell, shift, shared, below)
-                    sub = kids[i - 1]
+                    end = ends[sub]
+                    sub += 1
+                    while i > 1 and sub < end:
+                        sub = ends[sub]
+                        i -= 1
+                    if i != 1 or sub >= end:
+                        raise _off_subject(ends, cell, shift, shared, below)
                 push((tid, [cell, shift, None, sub]))
             else:
                 push((tid, cell))
@@ -291,11 +350,18 @@ def _walk(pos, path: Position, shared, below) -> Position:
     return pos
 
 
-def _off_subject(cell, path: Position, shared, below) -> InvariantError:
+def _off_subject(ends, cell, path: Position, shared, below) -> InvariantError:
     """The error for a label or shift that walks off the subject."""
-    here, k = cell[3], 0
-    while 0 < path[k] <= len(here.children):
-        here = here.children[path[k] - 1]
+    node, k = cell[3], 0
+    while True:
+        i, end = path[k], ends[node]
+        child = node + 1
+        while i > 1 and child < end:
+            child = ends[child]
+            i -= 1
+        if i != 1 or child >= end:
+            break
+        node = child
         k += 1
     where = _position(cell, shared, below) + path[:k + 1]
     return InvariantError(

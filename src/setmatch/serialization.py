@@ -6,7 +6,7 @@ the states.  A state is an array: its label, then one row entry per
 signature symbol, in signature order.  An entry is ``[outputs, targets]``.
 Outputs are flat ``pattern, depth`` integer pairs; a depth names the
 position ``label[:depth]``, so every output lies on its state's label, the
-rule ``build`` keeps and evaluation relies on.  Targets are flat ``state,
+rule ``build`` keeps, ``to_json`` checks and evaluation relies on.  Targets are flat ``state,
 shift`` pairs.  A state's id is its index, and no object key repeats per
 state, transition, output or target.  Goal sets are the compiler's working
 data and are not stored, so a loaded state has ``goals=None``.  Because
@@ -28,20 +28,33 @@ order: outputs, then targets.
 import json
 
 from .automaton import LEFTMOST, RIGHTMOST, SetAutomaton, State, Transition
-from .errors import FormatError, ParseError, PatternSetError, SignatureError
+from .errors import (FormatError, InvariantError, ParseError, PatternSetError,
+                     SignatureError)
+from .positions import format_position
 from .terms import PatternSet, Signature, parse_term
 
 SCHEMA_VERSION = 4
 
 
 def to_json(a: SetAutomaton) -> str:
+    """The document of ``a``.  Raises ``InvariantError`` for an output that
+    does not lie on its state's label, which no document can hold."""
     names = [s.name for s in a.signature]
     states = []
-    for st in a.states:
-        row = [st.label]
-        for tr in map(st.delta.__getitem__, names):
-            outs = [x for pid, pos in tr.outputs for x in (pid, len(pos))] \
-                if tr.outputs else ()
+    for sid, st in enumerate(a.states):
+        label = st.label
+        row = [label]
+        for name in names:
+            tr = st.delta[name]
+            outs = []
+            for pid, pos in tr.outputs:
+                depth = len(pos)
+                if label[:depth] != pos:
+                    raise InvariantError(
+                        f"state {sid}, symbol '{name}': the output of pattern {pid} at "
+                        f"{format_position(pos)} is not on the label "
+                        f"{format_position(label)}")
+                outs += (pid, depth)
             row.append((outs, [x for target in tr.targets for x in target]))
         states.append(row)
     doc = {

@@ -36,9 +36,15 @@ class Term:
     a term that is never hashed, such as a subject, costs nothing for it,
     and terms built from shared subtrees stay cheap to hash and compare no
     matter how large they print.
+
+    A term returned by :func:`parse_term` holds its parse in preorder
+    (``_flat``, a :class:`Flat`) and no subterms yet: its ``children`` and
+    ``_text`` slots are left unset, and :meth:`__getattr__` fills them from
+    the flat form on the first read.  A term built with ``Term(...)`` has
+    no flat form, and reading its ``children`` is a plain slot read.
     """
 
-    __slots__ = ("symbol", "children", "_hash", "_text")
+    __slots__ = ("symbol", "children", "_hash", "_text", "_flat")
 
     def __init__(self, symbol: Symbol | None, children=()):
         children = tuple(children)
@@ -53,6 +59,18 @@ class Term:
         self.children = children
         self._hash = None
         self._text = None
+
+    def __getattr__(self, name):
+        """Called only for an unset slot: fills ``children`` or ``_text`` of
+        a parsed term.  Its canonical text is its source text without the
+        whitespace, which is exactly the concatenation of its tokens."""
+        if name == "children":
+            self.children = _subterms(self._flat)
+            return self.children
+        if name == "_text":
+            self._text = _SPACE_RE.sub("", self._flat.text)
+            return self._text
+        raise AttributeError(f"'Term' object has no attribute {name!r}")
 
     @property
     def is_wildcard(self) -> bool:
@@ -106,6 +124,55 @@ class Term:
 
 
 WILDCARD = Term(None)
+
+
+class Flat:
+    """A parsed term in preorder, Christian's flatterm layout.
+
+    Node ``k`` is the ``k``-th symbol of the text: ``names[k]`` is its name,
+    ``_`` for the wildcard, and its subtree is the nodes ``k`` up to
+    ``ends[k]``, exclusive.  So node 0 is the root, the first child of node
+    ``k`` is node ``k + 1``, and each further child starts where the one
+    before it ends.  ``signature`` is the one the names were parsed
+    against, ``wildcards`` says whether a wildcard occurs, and ``text`` is
+    the parsed text.
+    """
+
+    __slots__ = ("signature", "names", "ends", "wildcards", "text")
+
+    def __init__(self, signature, names, ends, wildcards, text):
+        self.signature, self.names, self.ends = signature, names, ends
+        self.wildcards, self.text = wildcards, text
+
+
+def _subterms(flat: Flat) -> tuple:
+    """The children of the root of ``flat``, built bottom-up in one walk.
+
+    The nodes are walked from the last to the first, so every node's
+    children are built before it: they are the top ones on the stack, its
+    first child uppermost.  Depth is limited by memory only.
+    """
+    known = flat.signature._by_name.get
+    new = object.__new__
+    stack: list = []
+    push = stack.append
+    names = flat.names
+    for k in range(len(names) - 1, 0, -1):
+        sym = known(names[k])
+        if sym is None:
+            push(WILDCARD)
+            continue
+        term = new(Term)
+        n = sym.arity
+        if n:
+            term.children = tuple(stack[:-n - 1:-1])
+            del stack[-n:]
+        else:
+            term.children = ()
+        term.symbol, term._hash, term._text = sym, None, None
+        push(term)
+    stack.reverse()
+    return tuple(stack)
 
 
 def format_term(t: Term) -> str:
@@ -241,6 +308,7 @@ def write_signature(sig: Signature) -> str:
 _IDENT_RE = re.compile(r"[A-Za-z0-9_]+")
 # a name, or any other single character that is not whitespace
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|\S")
+_SPACE_RE = re.compile(r"\s+")  # what lies between the tokens
 
 
 def parse_term(text: str, sig: Signature, *, allow_wildcard: bool = False,
@@ -250,17 +318,23 @@ def parse_term(text: str, sig: Signature, *, allow_wildcard: bool = False,
     With ``extend`` unknown symbols are declared at the arity they are used,
     otherwise they are rejected.  Wildcards (``_``) are only accepted with
     ``allow_wildcard``.  Known symbols must be used at their declared arity.
-    The text is split into tokens by one regular-expression scan; a walk
-    over the tokens keeps its open argument lists on a stack, so nesting
-    depth is limited by memory only.  A :class:`ParseError` carries the
+    The text is split into tokens by one regular-expression scan, and one
+    walk over the tokens checks them and emits the term in preorder: a
+    symbol name per node and the end of each node's subtree (:class:`Flat`).
+    Open argument lists wait on a stack, so nesting depth is limited by
+    memory only.  The returned term holds that flat form; its subterms are
+    built from it when first read.  A :class:`ParseError` carries the
     offset in ``text`` of the token it stopped at, or ``len(text)`` at the
     end of the input.
     """
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # end of input; no token is empty
     known = sig._by_name.get
-    new = object.__new__
-    open_nodes = []  # (name, symbol or None, token index, children) per open list
+    names: list[str] = []
+    ends: list[int] = []
+    opened: list = []  # (node, token index, symbol or None) per open list
+    commas: list[int] = []  # commas so far, per open argument list
+    wildcards = False
     k = 0
     while True:
         name = tokens[k]
@@ -268,37 +342,42 @@ def parse_term(text: str, sig: Signature, *, allow_wildcard: bool = False,
         if sym is None and (name == "_" or not _IDENT_RE.fullmatch(name)):
             if name != "_" or not allow_wildcard:
                 raise _parse_error(text, k, _no_term(name))
-            term = WILDCARD
+            wildcards = True
         elif tokens[k + 1] == "(":
-            open_nodes.append((name, sym, k, []))
+            opened.append((len(names), k, sym))
+            commas.append(0)
+            names.append(name)
+            ends.append(0)  # set when the list closes
             k += 2
             continue
-        elif sym is not None and not sym.arity:
-            # checked here already, so built without Term.__init__'s checks
-            term = new(Term)
-            term.symbol, term.children, term._hash, term._text = sym, (), None, None
-        else:
-            term = _checked_node(text, sig, name, k, (), extend)
+        elif sym is None or sym.arity:
+            _declare(text, sig, name, k, 0, extend)
+        names.append(name)
+        ends.append(len(names))
         k += 1
-        while open_nodes:
-            name, sym, start, children = open_nodes[-1]
-            children.append(term)
+        while opened:
             tok = tokens[k]
             k += 1
             if tok == ",":
+                commas[-1] += 1
                 break
             if tok != ")":
                 raise _parse_error(text, k - 1, "expected ',' or ')'")
-            open_nodes.pop()
-            if sym is not None and sym.arity == len(children):
-                term = new(Term)
-                term.symbol, term.children, term._hash, term._text = \
-                    sym, tuple(children), None, None
-            else:
-                term = _checked_node(text, sig, name, start, children, extend)
-        else:  # every argument list is closed: ``term`` is the whole input
+            node, start, sym = opened.pop()
+            arity = commas.pop() + 1
+            if sym is None or sym.arity != arity:
+                _declare(text, sig, names[node], start, arity, extend)
+            ends[node] = len(names)
+        else:  # every argument list is closed: the nodes are the whole input
             if tokens[k]:
                 raise _parse_error(text, k, "trailing input after term")
+            root = known(names[0])
+            if root is None:
+                return WILDCARD
+            term = object.__new__(Term)
+            term.symbol, term._hash = root, None
+            # as tuples of ints and strings, the collector stops tracking them
+            term._flat = Flat(sig, tuple(names), tuple(ends), wildcards, text)
             return term
 
 
@@ -311,22 +390,20 @@ def _no_term(token: str) -> str:
     return f"unexpected character {token!r}"
 
 
-def _checked_node(text, sig, name, start, children, extend) -> Term:
-    """The term ``name(children)``, checked against ``sig`` in full.
+def _declare(text, sig, name, start, arity, extend) -> None:
+    """Check ``name`` used with ``arity`` arguments against ``sig``.
 
     With ``extend`` an unknown name is declared at this arity; otherwise it
     is an error, as is every arity mismatch, at token ``start``.
     """
-    arity = len(children)
     sym = sig.get(name)
     if sym is None:
         if not extend:
             raise _parse_error(text, start, f"unknown symbol '{name}'")
-        sym = sig.declare(name, arity)
+        sig.declare(name, arity)
     elif sym.arity != arity:
         raise _parse_error(
             text, start, f"'{name}' has arity {sym.arity}, used with {arity}")
-    return Term(sym, children)
 
 
 def _parse_error(text: str, token: int, reason: str) -> ParseError:
@@ -442,7 +519,13 @@ class PatternSet:
 
 
 def _check_over_signature(t: Term, sig: Signature, idx: int) -> None:
-    """Raise for the first symbol of ``t``, in preorder, that ``sig`` lacks."""
+    """Raise for the first symbol of ``t``, in preorder, that ``sig`` lacks.
+
+    A term parsed against ``sig`` itself passes unread: the parse checked
+    every symbol against it."""
+    flat = getattr(t, "_flat", None)
+    if flat is not None and flat.signature is sig:
+        return
     stack = [t]
     while stack:
         node = stack.pop()

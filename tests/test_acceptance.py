@@ -14,8 +14,9 @@ import pytest
 from setmatch import (LEFTMOST, RIGHTMOST, BreadthFirst, DepthFirst, Goal,
                       Parallel, PatternSet, Signature, Term,
                       brute_force_matches, build, comb_pattern_set, domain,
-                      evaluate, evaluation_tree, gcp, join, parse_term,
-                      prefix_leq, reachable_position_bound, tree_nodes)
+                      evaluate, evaluation_tree, format_term, gcp, join,
+                      parse_term, prefix_leq, reachable_position_bound,
+                      tree_nodes)
 from setmatch.goals import fresh_goal
 from setmatch.oracle import (profile_signature, random_pattern_set,
                              random_subject)
@@ -227,6 +228,20 @@ def test_criterion_7_strategy_independence(corpus):
         reference = runs["df"][i].matches
         for name in ("bf", "p2", "p4", "p8"):
             assert runs[name][i].matches == reference, i
+
+
+def test_parsed_and_built_subjects_agree(corpus):
+    # a parsed subject runs on its flat form, a built one is flattened first:
+    # the same matches, work items and inspection order under each strategy
+    groups = corpus["groups"]
+    for g, subject in corpus["instances"]:
+        a = groups[g][1]
+        parsed = parse_term(format_term(subject), a.signature)
+        for strategy in (DepthFirst(), BreadthFirst(), Parallel(2), Parallel(4)):
+            want = evaluate(a, subject, strategy, instrument=True)
+            got = evaluate(a, parsed, strategy, instrument=True)
+            assert (got.matches, got.node_count, got.inspected) \
+                == (want.matches, want.node_count, want.inspected)
 
 
 def _check_state_invariants(a, bound):

@@ -12,7 +12,7 @@ from setmatch import (LEFTMOST, RIGHTMOST, BreadthFirst, DepthFirst,
                       InvariantError, Parallel, PatternSet, Signature,
                       SubjectError, Term, build, brute_force_matches,
                       comb_pattern, domain, evaluate, evaluation_tree,
-                      matches, parse_term, subterm_at, term_size, tree_nodes)
+                      format_term, matches, parse_term, subterm_at, tree_nodes)
 from setmatch.automaton import Transition
 from setmatch.evaluate import LONG, MAX_WORKERS
 from setmatch.oracle import random_subject
@@ -145,6 +145,51 @@ def test_wildcard_subject_is_rejected(nested_automaton, sig_fga):
         evaluate(nested_automaton, Term(f, (Term(a), WILDCARD)))
 
 
+def test_parsed_pattern_as_subject_is_rejected_like_a_built_one(nested_automaton,
+                                                                 sig_fga):
+    # the parsed form is checked once per run, the built one node by node
+    from setmatch.terms import WILDCARD
+    f, g = sig_fga.symbol("f"), sig_fga.symbol("g")
+    parsed = parse_term("f(g(_),f(a,_))", sig_fga, allow_wildcard=True)
+    a = Term(sig_fga.symbol("a"))
+    built = Term(f, (Term(g, (WILDCARD,)), Term(f, (a, WILDCARD))))
+    errors = []
+    for t in (parsed, built):
+        for strategy in ALL_STRATEGIES:
+            with pytest.raises(SubjectError) as e:
+                evaluate(nested_automaton, t, strategy)
+            errors.append(str(e.value))
+    assert set(errors) == {"subject terms must not contain wildcards"}
+
+
+def test_subject_parsed_over_an_equal_signature_matches(nested_automaton,
+                                                        nested_subject):
+    other = Signature((s.name, s.arity) for s in nested_automaton.signature)
+    assert other is not nested_automaton.signature
+    text = format_term(nested_subject)
+    expected = evaluate(nested_automaton, nested_subject, instrument=True)
+    for strategy in ALL_STRATEGIES:
+        for t in (parse_term(text, nested_automaton.signature), parse_term(text, other)):
+            report = evaluate(nested_automaton, t, strategy, instrument=True)
+            assert report.matches == expected.matches == {(0, (2,))}
+            assert report.node_count == 10
+            assert sorted(report.inspected) == sorted(expected.inspected)
+
+
+def test_symbol_of_another_arity_is_rejected(nested_automaton):
+    # 'g' is g/1 in the automaton; parsed or built, g/2 is foreign
+    other = Signature((("f", 2), ("g", 2), ("a", 0)))
+    parsed = parse_term("f(a,g(a,a))", other)
+    g, a = other.symbol("g"), Term(other.symbol("a"))
+    built = Term(other.symbol("f"), (a, Term(g, (a, a))))
+    message = ("subject symbol 'g' (arity 2) is not in the automaton signature")
+    for t in (parsed, built):
+        for strategy in ALL_STRATEGIES:
+            with pytest.raises(SubjectError) as e:
+                evaluate(nested_automaton, t, strategy)
+            assert str(e.value) == message
+
+
 def test_label_outside_subject_fails_loudly():
     a = build(PatternSet.from_text("a\n"))
     a.states[0].label = (3,)
@@ -261,25 +306,66 @@ def test_damaged_automaton_runs_at_most_one_item_per_node(name, tmp_path):
                                        "parallel-2", "parallel-4", "tree")]
 
 
-def test_bound_measures_only_a_long_run(nested_automaton, monkeypatch):
-    # a run of at most SIZE_CHECK_AFTER items never walks its subject; the
-    # package's ``evaluate`` function hides the module of that name
-    ev = sys.modules["setmatch.evaluate"]
+# Runs every strategy of the one drain on a damaged automaton read from
+# stdin, over the parsed subject and an equal built one, with term_size made
+# to fail.  Prints per run the items its drains were allowed, counted as the
+# items done by every drain but the last plus the last one's limit, and the
+# error it ended with.
+BUDGET_PATHS = """
+import json, sys
+import setmatch.terms
+from setmatch import (BreadthFirst, DepthFirst, InvariantError, Parallel, Term,
+                      evaluate, from_json, parse_term)
+ev = sys.modules["setmatch.evaluate"]
 
-    def walk(term):
-        walks.append(term)
-        return term_size(term)
 
-    walks: list = []
-    monkeypatch.setattr(ev, "term_size", walk)
-    small = _left_comb(nested_automaton.signature, 100)
-    assert evaluate(nested_automaton, small).node_count == 201
-    assert walks == []
-    large = _left_comb(nested_automaton.signature, ev.SIZE_CHECK_AFTER)
-    for strategy in (DepthFirst(), BreadthFirst()):
-        assert evaluate(nested_automaton, large, strategy).node_count \
-            == 2 * ev.SIZE_CHECK_AFTER + 1
-    assert walks == [large, large]
+def no_size(term):
+    raise AssertionError("term_size was called")
+
+
+setmatch.terms.term_size = no_size
+drain, budgets = ev._drain, []
+
+
+def spy(*args):
+    done = drain(*args)
+    budgets.append((args[-1], done))
+    return done
+
+
+ev._drain = spy
+
+
+def built(t):
+    return Term(t.symbol, [built(c) for c in t.children])
+
+
+doc, text = json.load(sys.stdin)
+a = from_json(doc)
+parsed = parse_term(text, a.signature)
+for t in (parsed, built(parsed)):
+    for strategy in (DepthFirst(), BreadthFirst(), Parallel(2), Parallel(4)):
+        budgets.clear()
+        try:
+            evaluate(a, t, strategy)
+        except InvariantError as e:
+            *before, (limit, done) = budgets
+            print(sum(d for _, d in before) + limit, done == limit, e)
+"""
+
+
+@pytest.mark.parametrize("name", sorted(HANG_REPRODUCERS))
+def test_bound_is_the_node_count(name, tmp_path):
+    # the bound is one compare per item against the node count the flat
+    # subject knows: no strategy measures its subject with term_size
+    assert not hasattr(sys.modules["setmatch.evaluate"], "term_size")
+    r = run_limited(["-c", BUDGET_PATHS], tmp_path,
+                    input=json.dumps(HANG_REPRODUCERS[name]))
+    assert r.returncode == 0, r.stderr
+    size = {"self_loop": 3, "doubling": 41}[name]
+    error = ("the automaton needs more than one work item per subject node "
+             f"({size} nodes); it is not a set automaton for this subject")
+    assert r.stdout.splitlines() == [f"{size} True {error}"] * 8
 
 
 def _phi(a, node):

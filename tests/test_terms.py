@@ -209,6 +209,45 @@ def test_parse_deep_nesting_without_recursion(sig_fga):
     assert t.symbol.name == "a" and t.children == ()
 
 
+def _eager(t):
+    """A copy of ``t`` built node by node with ``Term``, bottom-up."""
+    done: list = []
+    stack = [(t, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            n = len(node.children)
+            kids = done[len(done) - n:]
+            del done[len(done) - n:]
+            done.append(Term(node.symbol, kids) if node.symbol else WILDCARD)
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(node.children))
+    return done[0]
+
+
+@pytest.mark.parametrize("text", ["a", "f(g(_),f(a,_))", "g(" * 300 + "_" + ")" * 300])
+def test_lazy_tree_equals_hashes_and_prints_like_an_eager_one(sig_fga, text):
+    # each property read on a fresh parse, so that each one builds the tree
+    def lazy():
+        return parse_term(text, sig_fga, allow_wildcard=True)
+    eager = _eager(lazy())
+    assert lazy() == eager and eager == lazy()
+    assert hash(lazy()) == hash(eager)
+    assert str(lazy()) == str(eager) == text and repr(lazy()) == repr(eager)
+    assert format_term(lazy()) == format_term(eager)
+    assert term_size(lazy()) == term_size(eager) == text.count("_") + text.count("a") \
+        + text.count("f") + text.count("g")
+
+
+def test_children_are_built_once(sig_fga):
+    t = parse_term("f(g(a), f(_, a))", sig_fga, allow_wildcard=True)
+    kids = t.children
+    assert t.children is kids
+    assert all(k.children is k.children for k in kids)
+    assert kids[1].children[0] is WILDCARD
+
+
 def _chain(sig, depth, leaf):
     """``g(g(...g(leaf)...))`` with ``depth`` g's, built without recursion."""
     g = sig.symbol("g")
