@@ -10,6 +10,13 @@ Concrete syntax is ``name(child,child)`` with constants written without
 parentheses, e.g. ``f(g(a),_)``.  Whitespace is insignificant.  All parse
 errors carry the offset, in characters, at which the input stopped making
 sense.
+
+:func:`parse_term` makes one scan over the tokens and emits the term in
+preorder, a :class:`Flat`: each node's symbol name and the end of its
+subtree.  The term it returns holds that form, which is what matching
+reads, and builds its subterms from it, in one bottom-up walk, only when
+they are first read.  That walk is the one tree builder of parsed terms,
+patterns included.
 """
 
 import re
@@ -38,10 +45,9 @@ class Term:
     matter how large they print.
 
     A term returned by :func:`parse_term` holds its parse in preorder
-    (``_flat``, a :class:`Flat`) and no subterms yet: its ``children`` and
-    ``_text`` slots are left unset, and :meth:`__getattr__` fills them from
-    the flat form on the first read.  A term built with ``Term(...)`` has
-    no flat form, and reading its ``children`` is a plain slot read.
+    (``_flat``, a :class:`Flat`) and builds its subterms from it only when
+    they are first read (see :class:`_Parsed`).  A term built with
+    ``Term(...)`` leaves ``_flat`` unset.
     """
 
     __slots__ = ("symbol", "children", "_hash", "_text", "_flat")
@@ -59,18 +65,6 @@ class Term:
         self.children = children
         self._hash = None
         self._text = None
-
-    def __getattr__(self, name):
-        """Called only for an unset slot: fills ``children`` or ``_text`` of
-        a parsed term.  Its canonical text is its source text without the
-        whitespace, which is exactly the concatenation of its tokens."""
-        if name == "children":
-            self.children = _subterms(self._flat)
-            return self.children
-        if name == "_text":
-            self._text = _SPACE_RE.sub("", self._flat.text)
-            return self._text
-        raise AttributeError(f"'Term' object has no attribute {name!r}")
 
     @property
     def is_wildcard(self) -> bool:
@@ -143,6 +137,36 @@ class Flat:
     def __init__(self, signature, names, ends, wildcards, text):
         self.signature, self.names, self.ends = signature, names, ends
         self.wildcards, self.text = wildcards, text
+
+
+class _Parsed(Term):
+    """A term of :func:`parse_term` whose ``children`` were never read.
+
+    Its ``children`` and ``_text`` slots start unset, and Python calls
+    :meth:`__getattr__` only for those; it fills them from the flat form.
+    The canonical text is the parsed text without its whitespace, which is
+    exactly the concatenation of its tokens.  Once ``children`` is filled
+    the term becomes a plain :class:`Term`: a class that defines
+    ``__getattr__`` reads every attribute about three times slower, and
+    the subterms are plain terms already.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name == "_text":
+            self._text = _SPACE_RE.sub("", self._flat.text)
+            return self._text
+        if name != "children":
+            raise AttributeError(f"'Term' object has no attribute {name!r}")
+        self.children = _subterms(self._flat)
+        self._text = self._text  # read first if unread: a Term fills no slot
+        self.__class__ = Term
+        return self.children
+
+    def __reduce__(self):
+        """Copied or pickled as the plain term it becomes."""
+        return Term, (self.symbol, self.children)
 
 
 def _subterms(flat: Flat) -> tuple:
@@ -374,7 +398,7 @@ def parse_term(text: str, sig: Signature, *, allow_wildcard: bool = False,
             root = known(names[0])
             if root is None:
                 return WILDCARD
-            term = object.__new__(Term)
+            term = object.__new__(_Parsed)
             term.symbol, term._hash = root, None
             # as tuples of ints and strings, the collector stops tracking them
             term._flat = Flat(sig, tuple(names), tuple(ends), wildcards, text)

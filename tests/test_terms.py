@@ -1,6 +1,8 @@
 """Terms, signatures, parsing, printing, domains, and the match predicate."""
 
+import copy
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -240,10 +242,17 @@ def test_lazy_tree_equals_hashes_and_prints_like_an_eager_one(sig_fga, text):
         + text.count("f") + text.count("g")
 
 
+def test_parsed_term_copies_as_a_plain_term(sig_fga):
+    text = "f(g(_),f(a,_))"
+    for copied in (pickle.loads(pickle.dumps(parse_term(text, sig_fga, allow_wildcard=True))),
+                   copy.copy(parse_term(text, sig_fga, allow_wildcard=True))):
+        assert type(copied) is Term and format_term(copied) == text
+
+
 def test_children_are_built_once(sig_fga):
     t = parse_term("f(g(a), f(_, a))", sig_fga, allow_wildcard=True)
     kids = t.children
-    assert t.children is kids
+    assert t.children is kids and type(t) is Term  # a plain term from now on
     assert all(k.children is k.children for k in kids)
     assert kids[1].children[0] is WILDCARD
 
