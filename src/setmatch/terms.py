@@ -142,8 +142,8 @@ class Flat:
 class _Parsed(Term):
     """A term of :func:`parse_term` whose ``children`` were never read.
 
-    Its ``children`` and ``_text`` slots start unset, and Python calls
-    :meth:`__getattr__` only for those; it fills them from the flat form.
+    Its ``children`` and ``_text`` slots start unset, so reading one calls
+    :meth:`__getattr__`, which fills it from the flat form.
     The canonical text is the parsed text without its whitespace, which is
     exactly the concatenation of its tokens.  Once ``children`` is filled
     the term becomes a plain :class:`Term`: a class that defines

@@ -182,7 +182,7 @@ def test_symbol_of_another_arity_is_rejected(nested_automaton):
     parsed = parse_term("f(a,g(a,a))", other)
     g, a = other.symbol("g"), Term(other.symbol("a"))
     built = Term(other.symbol("f"), (a, Term(g, (a, a))))
-    message = ("subject symbol 'g' (arity 2) is not in the automaton signature")
+    message = "subject symbol 'g' (arity 2) is not in the automaton signature"
     for t in (parsed, built):
         for strategy in ALL_STRATEGIES:
             with pytest.raises(SubjectError) as e:
