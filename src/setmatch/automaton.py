@@ -163,10 +163,10 @@ def _classes(members) -> list:
 
 
 def _split(key: frozenset, label: Position):
-    """A key's members away from ``label``, and its goals at it by the one
-    symbol they demand (one that demands two is always discarded): the part
-    of a step that no symbol changes.  The fresh family at ``label``, which
-    the symbol's table steps, must be in the key and is in neither result."""
+    """A key's members away from ``label``, and its goals at it by the
+    symbol of their first obligation pair there: the part of a step that no
+    symbol changes.  The fresh family at ``label``, which the symbol's table
+    steps, must be in the key and is in neither result."""
     if label not in key:
         raise InvariantError(f"no fresh family at the label {format_position(label)}")
     away = []
@@ -176,11 +176,11 @@ def _split(key: frozenset, label: Position):
             if m != label:
                 away.append(m)
             continue
-        demanded = {t.symbol for t, p in m.obligation if p == label}
-        if not demanded:
+        demanded = next((t.symbol for t, p in m.obligation if p == label), None)
+        if demanded is None:
             away.append(m)
-        elif len(demanded) == 1:
-            watching.setdefault(*demanded, []).append(m)
+        else:
+            watching.setdefault(demanded, []).append(m)
     return away, watching
 
 

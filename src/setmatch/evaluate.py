@@ -17,22 +17,18 @@ order in which the work set is drained (LIFO, FIFO, or in dealt shares)
 changes nothing about the reported match set.
 
 A pointer is a parent-linked cell ``[parent cell, shift, position or None,
-node]``, shared with the parent when the shift is empty.  Its position
-tuple is built only for a cell whose item announces a match, so one run
-costs time linear in the subject plus the size of its matches.  A match
-position below a pointer is kept once per run in one table.  Every
-output's relative position is a prefix of its state's label (``build``
-makes it so and a document stores it as a depth into the label), so a
-transition's outputs lie on one chain below the pointer.  Below a pointer
-position shorter than LONG, a match position is built whole, then looked
-up.  Below a longer one, the
-chain is walked from the pointer's position through a per-run step trie,
-one dict lookup per step of the deepest output, and a position is built,
-one step at a time, only the first time the run reaches it.  A pointer
-whose parent holds a position of LONG steps or more reaches its own
-through the same trie, one lookup per step of its shift.  Every position
-of LONG steps or more, a pointer's or a match's, is then one tuple in the
-whole run.
+node]``, shared with the parent when the shift is empty.  A run keeps one
+table from node index to position tuple, and every position it builds
+goes through it, so each position is one tuple in the whole run, a
+pointer's and a match's alike.  A pointer's position is built only for a
+cell whose item announces a match, with one concatenation onto the
+nearest ancestor that has one, so one run costs time linear in the
+subject plus the size of its matches.  Every output's relative position
+is a prefix of its state's label (``build`` makes it so and a document
+stores it as a depth into the label), so an output's node is reached
+from the pointer's by the label's first steps, which the item's label
+walk has already checked, and its position is built the first time the
+run announces there.
 """
 
 from collections import deque
@@ -45,18 +41,6 @@ from .positions import Position, format_position
 from .terms import Term
 
 MAX_WORKERS = 64
-# A repeated transition's outputs cost the whole-tuple path about 200 ns +
-# 12 ns per step of the match position, per output.  The chain walk costs
-# about 150 ns, plus 450 ns per output that grows the chain and 180 ns per
-# further step it grows, plus 80 ns per output that does not grow it
-# (CPython 3.11, a 2-vCPU VM whose empty loop ran at 18-25 ns an iteration;
-# one transition timed on a warm trie, best of 15 rounds).  The chain breaks
-# even at about 22 steps for the comb transitions (4 or 8 outputs, one step
-# apart), 31 for one output one step below the pointer, 44 for two steps and
-# about 110 for seven.  At 64 no match of the ``corpus`` (deepest 37) or
-# ``scan`` (deepest 51) benchmark workloads takes the trie, and 0.86 of
-# ``deep``'s (seed 101) do.
-LONG = 64
 
 
 @dataclass(frozen=True)
@@ -94,13 +78,12 @@ class Parallel:
 class MatchReport:
     """What one evaluation produced.
 
-    ``matches`` holds absolute (pattern id, position) pairs; the matches at
-    one position below a pointer share one position tuple, and a position
-    at least LONG steps deep has one tuple in the whole run, the pointer's
-    own included.  ``node_count``
-    is the number of work items processed, which equals the number of
-    subject positions inspected.  ``inspected`` lists every inspected
-    position when the run was instrumented, in processing order.
+    ``matches`` holds absolute (pattern id, position) pairs, and the
+    matches at one position share one tuple, the one the run gives every
+    pointer there.  ``node_count`` is the number of work items processed,
+    which equals the number of subject positions inspected.  ``inspected``
+    lists every inspected position when the run was instrumented, in
+    processing order.
     """
 
     matches: frozenset
@@ -139,27 +122,21 @@ def _run(a, subject, strategy, matches, log) -> int:
     ``Parallel(n)`` drains ``n`` items FIFO and deals the waiting ones into
     ``n`` shares; queued on one LIFO deque, a share and all its descendants
     finish before the next one starts.  Every drain of the run shares one
-    position table ``shared`` and one step trie ``below``.
+    position table ``at``, from node index to position.
     """
     names, ends = _preorder(a.signature, subject)
     size = len(names)
-    work = deque([(a.initial, [None, (), (), 0])])
+    root = ()
+    work = deque([(a.initial, [None, root, root, 0])])
     fifo = isinstance(strategy, BreadthFirst)
-    shared: dict = {}
-    # Liveness: every tuple whose id keys ``below`` is a value of ``shared``,
-    # so it lives as long as the run and its id is never reused.  Only a
-    # pointer position shorter than LONG stays out of ``shared``, and it
-    # never keys ``below``.
-    below: dict = {}
+    at = {0: root}
     done = 0
     if isinstance(strategy, Parallel):
         n = strategy.workers
-        done = _drain(a, names, ends, work, True, matches, log, shared, below,
-                      min(n, size))
+        done = _drain(a, names, ends, work, True, matches, log, at, min(n, size))
         items = list(work)
         work = deque(chain.from_iterable(items[k::n] for k in reversed(range(n))))
-    done += _drain(a, names, ends, work, fifo, matches, log, shared, below,
-                   size - done)
+    done += _drain(a, names, ends, work, fifo, matches, log, at, size - done)
     if work:
         raise _overrun(size)
     return done
@@ -219,26 +196,21 @@ def _check_symbol(sym, known) -> None:
             "automaton signature")
 
 
-def _drain(a, names, ends, work, fifo, matches, log, shared, below, limit) -> int:
+def _drain(a, names, ends, work, fifo, matches, log, at, limit) -> int:
     """Process (state id, pointer cell) items of ``work`` until it is empty
     or ``limit`` items are done.
 
     The subject is ``names`` and ``ends`` in preorder; child ``i`` of node
     ``k`` is reached from node ``k + 1`` by ``i - 1`` skips to a subtree's
     end, each checked against the end of node ``k``'s subtree.  Appends
-    announcements to ``matches``, keeping each position below a pointer
-    once in ``shared``, and, when ``log`` is a list, one (state id,
-    pointer, fan-out) entry per item.  Below a pointer position shorter
-    than LONG, a match position is built whole and looked up in
-    ``shared``.  Below a longer one, ``reached`` holds the positions
-    reached so far from the pointer's, one per step; an output deeper than
-    its end extends it one step at a time through ``below``, with the steps
-    of the output's own relative position.  Outputs lie on the state's
-    label, so they all extend one chain, and each costs one lookup per step
-    it adds.  ``below`` maps (id of a position, step) to the interned child
-    position; a missing child is built with one concatenation and interned
-    in ``shared``.  Returns the number of items processed; the caller holds
-    that number to the subject's node count.
+    announcements to ``matches`` and, when ``log`` is a list, one (state
+    id, pointer, fan-out) entry per item.  An output at the pointer takes
+    the pointer's position.  Any other output's node is the inspected one
+    when its depth is the label's, else it is reached again from the
+    pointer's node by the label's first steps; its position is ``at``'s
+    entry for that node, built from the pointer's position and those steps
+    the first time.  Returns the number of items processed; the caller
+    holds that number to the subject's node count.
     """
     states = a.states
     pop = work.popleft if fifo else work.pop
@@ -247,46 +219,42 @@ def _drain(a, names, ends, work, fifo, matches, log, shared, below, limit) -> in
     while work and done < limit:
         sid, cell = pop()
         state = states[sid]
+        label = state.label
         node = here = cell[3]
-        for i in state.label:
+        for i in label:
             end = ends[node]
             node += 1
             while i > 1 and node < end:
                 node = ends[node]
                 i -= 1
             if i != 1 or node >= end:
-                raise _off_subject(ends, cell, state.label, shared, below)
+                raise _off_subject(ends, cell, label, at)
         name = names[node]
         tr = state.delta.get(name)
         if tr is None:
             raise InvariantError(f"state {sid} has no transition for '{name}'")
         if log is not None:
-            log.append((sid, _position(cell, shared, below), len(tr.targets)))
+            log.append((sid, _position(cell, at), len(tr.targets)))
         if tr.outputs:
-            at = cell[2] or _position(cell, shared, below)
-            if len(at) < LONG:
-                for pid, rel in tr.outputs:
-                    if rel:
-                        pos = at + rel
-                        pos = shared.setdefault(pos, pos)
+            base = cell[2] or _position(cell, at)
+            for pid, rel in tr.outputs:
+                n = len(rel)
+                if not n:
+                    pos = base
+                else:
+                    if n == len(label):
+                        k, steps = node, label
                     else:
-                        pos = at
-                    matches.append((pid, pos))
-            else:
-                reached = [at]
-                for pid, rel in tr.outputs:
-                    n = len(rel)
-                    if n >= len(reached):
-                        pos = reached[-1]
-                        for step in rel[len(reached) - 1:]:
-                            key = (id(pos), step)
-                            child = below.get(key)
-                            if child is None:
-                                child = pos + (step,)
-                                child = below[key] = shared.setdefault(child, child)
-                            reached.append(child)
-                            pos = child
-                    matches.append((pid, reached[n]))
+                        k, steps = here, label[:n]
+                        for i in steps:
+                            k += 1
+                            while i > 1:
+                                k = ends[k]
+                                i -= 1
+                    pos = at.get(k)
+                    if pos is None:
+                        pos = at[k] = base + steps
+                matches.append((pid, pos))
         for tid, shift in tr.targets:
             if shift:
                 sub = here
@@ -297,7 +265,7 @@ def _drain(a, names, ends, work, fifo, matches, log, shared, below, limit) -> in
                         sub = ends[sub]
                         i -= 1
                     if i != 1 or sub >= end:
-                        raise _off_subject(ends, cell, shift, shared, below)
+                        raise _off_subject(ends, cell, shift, at)
                 push((tid, [cell, shift, None, sub]))
             else:
                 push((tid, cell))
@@ -305,52 +273,33 @@ def _drain(a, names, ends, work, fifo, matches, log, shared, below, limit) -> in
     return done
 
 
-def _position(cell, shared, below) -> Position:
+def _position(cell, at) -> Position:
     """The position of a pointer cell, stored in it for its descendants.
 
-    When the parent cell holds a position of at least LONG steps, the
-    cell's own is reached from it through the step trie ``below``, one
-    lookup per step of the cell's shift.  Otherwise it is built with one
-    concatenation onto the nearest ancestor that has one, and interned in
-    ``shared`` when it is at least LONG steps deep, so that it may key the
-    trie.  The trie is never walked across more than the one shift: on a
-    deep unary chain, walking every shift up to the nearest positioned
-    ancestor would keep every prefix of a pointer's position, memory
-    quadratic in the depth.
+    It is ``at``'s entry for the cell's node if the run has built one.
+    Otherwise it is built with one concatenation onto the nearest ancestor
+    cell that holds a position, and entered in ``at``.  The cells between
+    keep none: on a deep unary chain, keeping every prefix of a pointer's
+    position would take memory quadratic in the depth.
     """
-    if cell[2] is None:
-        up, shifts = cell[0], [cell[1]]
-        while up[2] is None:
-            shifts.append(up[1])
-            up = up[0]
-        if len(shifts) > 1:
-            pos = up[2] + tuple(chain.from_iterable(reversed(shifts)))
-        elif len(up[2]) < LONG:
-            pos = up[2] + cell[1]
-        else:
-            cell[2] = _walk(up[2], cell[1], shared, below)
-            return cell[2]
-        cell[2] = shared.setdefault(pos, pos) if len(pos) >= LONG else pos
-    return cell[2]
-
-
-def _walk(pos, path: Position, shared, below) -> Position:
-    """The interned position ``pos + path``, reached one step of ``path`` at
-    a time through ``below``; ``pos`` must be interned in ``shared``.
-
-    ``_drain`` keeps an inline copy of this loop for announcements.
-    """
-    for step in path:
-        key = (id(pos), step)
-        child = below.get(key)
-        if child is None:
-            child = pos + (step,)
-            child = below[key] = shared.setdefault(child, child)
-        pos = child
+    pos = cell[2]
+    if pos is None:
+        pos = at.get(cell[3])
+        if pos is None:
+            up, shifts = cell[0], [cell[1]]
+            while up[2] is None:
+                shifts.append(up[1])
+                up = up[0]
+            if len(shifts) > 1:
+                pos = up[2] + tuple(chain.from_iterable(reversed(shifts)))
+            else:
+                pos = up[2] + cell[1]
+            at[cell[3]] = pos
+        cell[2] = pos
     return pos
 
 
-def _off_subject(ends, cell, path: Position, shared, below) -> InvariantError:
+def _off_subject(ends, cell, path: Position, at) -> InvariantError:
     """The error for a label or shift that walks off the subject."""
     node, k = cell[3], 0
     while True:
@@ -363,7 +312,7 @@ def _off_subject(ends, cell, path: Position, shared, below) -> InvariantError:
             break
         node = child
         k += 1
-    where = _position(cell, shared, below) + path[:k + 1]
+    where = _position(cell, at) + path[:k + 1]
     return InvariantError(
         f"no subject node at {format_position(where)}; "
         "the automaton and the subject disagree")

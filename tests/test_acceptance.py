@@ -11,13 +11,14 @@ import time
 
 import pytest
 
-from setmatch import (LEFTMOST, RIGHTMOST, BreadthFirst, DepthFirst, Goal,
+from setmatch import (LEFTMOST, RIGHTMOST, BreadthFirst, DepthFirst,
                       Parallel, PatternSet, Signature, Term,
                       brute_force_matches, build, comb_pattern_set, domain,
-                      evaluate, evaluation_tree, format_term, gcp, join,
-                      parse_term, prefix_leq, reachable_position_bound,
+                      evaluate, evaluation_tree, format_term, parse_term,
                       tree_nodes)
-from setmatch.goals import fresh_goal
+from setmatch.automaton import reachable_position_bound
+from setmatch.goals import Goal, fresh_goal
+from setmatch.positions import gcp, join, prefix_leq
 from setmatch.oracle import (profile_signature, random_pattern_set,
                              random_subject)
 

@@ -14,16 +14,15 @@ REPO = Path(__file__).resolve().parent.parent
 
 EXPORTED = {
     "LEFTMOST", "RIGHTMOST", "SetAutomaton", "State", "Transition",
-    "build", "reachable_position_bound", "verify_automaton",
+    "build", "verify_automaton",
     "to_dot",
     "FormatError", "InvariantError", "ParseError", "PatternSetError",
     "PositionError", "SetMatchError", "SignatureError", "SubjectError",
     "BreadthFirst", "DepthFirst", "MatchReport", "Parallel",
     "evaluate", "evaluation_tree", "tree_nodes",
-    "Goal",
     "brute_force_matches", "comb_pattern", "comb_pattern_set",
     "random_instance",
-    "format_position", "gcp", "join", "prefix_leq",
+    "format_position",
     "from_json", "to_json",
     "PatternSet", "Signature", "Symbol", "Term", "domain", "format_term",
     "matches", "parse_term", "read_signature", "subterm_at", "term_size",
@@ -33,11 +32,12 @@ EXPORTED = {
 
 # building blocks kept out of the package namespace, by home module
 MODULE_ONLY = {
-    "automaton": ["choose_label", "derivative", "outputs", "transition_count"],
-    "goals": ["Outcome", "canonical_goals", "dependency_partition",
+    "automaton": ["choose_label", "derivative", "outputs",
+                  "reachable_position_bound", "transition_count"],
+    "goals": ["Goal", "Outcome", "canonical_goals", "dependency_partition",
               "fresh_goal", "goal_outcome", "lift_class"],
     "oracle": ["comb_signature"],
-    "positions": ["Position"],
+    "positions": ["Position", "gcp", "join", "prefix_leq"],
     "serialization": ["SCHEMA_VERSION"],
     "terms": ["WILDCARD"],
 }
@@ -47,7 +47,7 @@ USERS = sorted([*(REPO / "perfbench").glob("*.py"), *(REPO / "demos").glob("*.py
 
 
 def test_all_is_exactly_the_exported_names():
-    assert len(setmatch.__all__) == len(set(setmatch.__all__)) == 48
+    assert len(setmatch.__all__) == len(set(setmatch.__all__)) == 43
     assert set(setmatch.__all__) == EXPORTED
     for name in setmatch.__all__:
         assert getattr(setmatch, name) is not None, name

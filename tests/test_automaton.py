@@ -11,15 +11,16 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from setmatch import (LEFTMOST, RIGHTMOST, Goal, InvariantError, PatternSet,
+from setmatch import (LEFTMOST, RIGHTMOST, InvariantError, PatternSet,
                       Signature, State, Transition, build, domain, evaluate,
-                      from_json, parse_term, prefix_leq, random_instance,
-                      reachable_position_bound, subterm_at, to_json,
-                      verify_automaton)
+                      from_json, parse_term, random_instance, subterm_at,
+                      to_json, verify_automaton)
 from setmatch.automaton import (choose_label, derivative, outputs,
-                                transition_count)
-from setmatch.goals import (Outcome, canonical_goals, dependency_partition,
-                            fresh_goal, goal_outcome, goal_sort_key, lift_class)
+                                reachable_position_bound, transition_count)
+from setmatch.goals import (Goal, Outcome, canonical_goals,
+                            dependency_partition, fresh_goal, goal_outcome,
+                            goal_sort_key, lift_class)
+from setmatch.positions import prefix_leq
 
 from conftest import pattern_sets
 

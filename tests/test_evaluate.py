@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 
 from setmatch import (LEFTMOST, RIGHTMOST, BreadthFirst, DepthFirst,
-                      InvariantError, Parallel, PatternSet, Signature,
-                      SubjectError, Term, build, brute_force_matches,
+                      InvariantError, Parallel, PatternSet, SetMatchError,
+                      Signature, SubjectError, Term, build, brute_force_matches,
                       comb_pattern, domain, evaluate, evaluation_tree,
                       format_term, matches, parse_term, subterm_at, tree_nodes)
 from setmatch.automaton import Transition
-from setmatch.evaluate import LONG, MAX_WORKERS
+from setmatch.evaluate import MAX_WORKERS
 from setmatch.oracle import random_subject
 
 from conftest import HANG_REPRODUCERS, run_limited, subject_terms
@@ -66,17 +66,17 @@ def test_strategies_agree_with_brute_force(nested_pattern_set,
         assert sorted(report.inspected) == positions
 
 
-def test_matches_past_long_agree_with_brute_force(sig_fga):
-    # random subjects under LONG unary g's: the comb patterns announce below
-    # pointers past LONG, on paths that branch, so every position is reached
-    # through the step trie, and positions of one length differ
+def test_matches_below_a_deep_chain_agree_with_brute_force(sig_fga):
+    # random subjects under 64 unary g's: the comb patterns announce below
+    # pointers 64 steps deep or more, on paths that branch, so positions of
+    # one length differ and each must be found by its own node
     ps = _combs(sig_fga)
     a = build(ps)
     g = sig_fga.symbol("g")
     rng = random.Random(20)
     for _ in range(40):
         t = random_subject(rng, sig_fga, 40)
-        for _ in range(LONG):
+        for _ in range(64):
             t = Term(g, (t,))
         expected = brute_force_matches(ps, t)
         for s in ALL_STRATEGIES:
@@ -207,14 +207,14 @@ def test_shift_outside_subject_fails_loudly(assoc_pattern_set, assoc_subject):
     for strategy in ALL_STRATEGIES:
         with pytest.raises(InvariantError, match=r"no subject node at 2\.1;"):
             evaluate(a, assoc_subject, strategy)
-    # past LONG: the one item that inspects the comb's bottom leaf c is
-    # sent one level below it, and the message names that deep position
+    # 72 deep: the one item that inspects the comb's bottom leaf c is sent
+    # one level below it, and the message names that deep position
     sig = Signature(COMB_SYMBOLS + (("c", 0),))
     a = build(_combs(sig))
     for state in a.states:
         tr = state.delta["c"]
         state.delta["c"] = Transition(tr.outputs, ((a.initial, state.label + (1,)),))
-    depth = LONG + 8
+    depth = 72
     t = _spine(sig, depth, True, random.Random(3), bottom="c")
     at = r"\.".join("1" * (depth + 1))
     for strategy in ALL_STRATEGIES:
@@ -222,11 +222,35 @@ def test_shift_outside_subject_fails_loudly(assoc_pattern_set, assoc_subject):
             evaluate(a, t, strategy)
 
 
+def test_an_output_off_the_label_raises_only_a_setmatch_error():
+    # the automaton edited in Python that ``to_json`` refuses: under label 2
+    # it announces at 1; a run may report a wrong match, but it reads no
+    # node past the subject, so it fails, if at all, with a SetMatchError
+    # and reports only positions the subject has
+    sig = Signature((("f", 2), ("a", 0)))
+    a = build(PatternSet.from_text("f(_,a)\n", sig))
+    assert a.states[1].label == (2,)
+    a.states[1].delta["a"] = Transition(outputs=((0, (1,)),), targets=())
+    rng = random.Random(26)
+    subjects = [random_subject(rng, sig, size) for size in range(1, 40)]
+    chain = Term(sig.symbol("a"))
+    for _ in range(80):
+        chain = Term(sig.symbol("f"), (Term(sig.symbol("a")), chain))
+    for t in subjects + [chain]:
+        for strategy in ALL_STRATEGIES:
+            for instrument in (False, True):
+                try:
+                    report = evaluate(a, t, strategy, instrument=instrument)
+                except SetMatchError:
+                    continue
+                assert {p for _, p in report.matches} <= domain(t)
+
+
 def test_duplicate_announcement_raises(assoc_pattern_set, assoc_subject):
-    # a hand-edited automaton that announces every match twice, also below
-    # pointers past LONG, where positions are interned through the step trie
+    # a hand-edited automaton that announces every match twice, also on a
+    # spine 72 deep, where both copies take one tuple from the node table
     sig = Signature(COMB_SYMBOLS)
-    deep = _spine(sig, LONG + 8, True, random.Random(3))
+    deep = _spine(sig, 72, True, random.Random(3))
     for ps, t in ((assoc_pattern_set, assoc_subject), (_combs(sig), deep)):
         a = build(ps)
         for state in a.states:
@@ -488,10 +512,9 @@ def _spine(sig, depth, comb, rng, bottom=None):
 @pytest.mark.parametrize("label_strategy", (RIGHTMOST, LEFTMOST))
 @pytest.mark.parametrize("comb", (True, False), ids=("comb", "mixed"))
 def test_matches_at_one_position_share_its_tuple(label_strategy, comb):
-    # t1..t8 all match at most spine nodes of a comb; the positions below
-    # a pointer are built once per run, also past SIZE_CHECK_AFTER items,
-    # so a position has at most two tuples: the pointer's own and the
-    # shared one; past LONG, where both are interned, it has one
+    # t1..t8 all match at most spine nodes of a comb; every position, a
+    # match's or a pointer's, is kept once per run by its node, so the
+    # matches at one position share exactly one tuple
     sig = Signature(COMB_SYMBOLS)
     ps = _combs(sig)
     a = build(ps, label_strategy)
@@ -507,15 +530,13 @@ def test_matches_at_one_position_share_its_tuple(label_strategy, comb):
             tuples: dict = {}
             for _, p in m:
                 tuples.setdefault(p, set()).add(id(p))
-            assert all(len(ids) <= (1 if len(p) >= LONG else 2)
-                       for p, ids in tuples.items())
+            assert all(len(ids) == 1 for ids in tuples.values())
 
 
 @pytest.mark.parametrize("label_strategy", (RIGHTMOST, LEFTMOST))
-def test_matches_past_long_ignore_output_order(label_strategy):
-    # past LONG a transition's outputs are walked as one chain; with every
-    # transition's outputs reversed, they extend the chain in another order
-    # and must reach the same positions
+def test_deep_matches_ignore_output_order(label_strategy):
+    # with every transition's outputs reversed, the positions on a spine
+    # 104 deep enter the node table in another order and must be the same
     sig = Signature(COMB_SYMBOLS)
     ps = _combs(sig)
     a = build(ps, label_strategy)
@@ -523,7 +544,7 @@ def test_matches_past_long_ignore_output_order(label_strategy):
         for name, tr in state.delta.items():
             state.delta[name] = Transition(tr.outputs[::-1], tr.targets)
     for comb in (True, False):
-        t = _spine(sig, LONG + 40, comb, random.Random(21))
+        t = _spine(sig, 104, comb, random.Random(21))
         expected = brute_force_matches(ps, t)
         for strategy in ALL_STRATEGIES:
             assert evaluate(a, t, strategy).matches == expected
@@ -532,8 +553,8 @@ def test_matches_past_long_ignore_output_order(label_strategy):
 @pytest.mark.parametrize("label_strategy", (RIGHTMOST, LEFTMOST))
 def test_doubled_announcement_at_a_deep_pointer_raises(label_strategy):
     # only the announcements at the pointer itself (an empty relative
-    # position) are doubled, and under LONG unary g's every match sits
-    # below a pointer past LONG: the chain walk must keep both copies
+    # position) are doubled, and under 64 unary g's every match sits below
+    # a pointer 64 steps deep or more: the run must keep both copies
     sig = Signature(COMB_SYMBOLS)
     a = build(_combs(sig), label_strategy)
     doubled = 0
@@ -544,7 +565,7 @@ def test_doubled_announcement_at_a_deep_pointer_raises(label_strategy):
             state.delta[name] = Transition(at + tr.outputs, tr.targets)
     assert doubled
     t = _spine(sig, 8, True, random.Random(3))
-    for _ in range(LONG):
+    for _ in range(64):
         t = Term(sig.symbol("g"), (t,))
     for strategy in ALL_STRATEGIES:
         with pytest.raises(InvariantError, match="twice"):

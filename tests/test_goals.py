@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setmatch import Goal, InvariantError, Symbol, parse_term, prefix_leq
-from setmatch.goals import (Outcome, canonical_goals, dependency_partition,
-                            fresh_goal, goal_outcome, goal_sort_key,
-                            lift_class)
-from setmatch.positions import Position
+from setmatch import InvariantError, Symbol, parse_term
+from setmatch.goals import (Goal, Outcome, canonical_goals,
+                            dependency_partition, fresh_goal, goal_outcome,
+                            goal_sort_key, lift_class)
+from setmatch.positions import Position, prefix_leq
 
 from conftest import pattern_terms, positions
 

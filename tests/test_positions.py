@@ -10,7 +10,8 @@ import os.path
 import pytest
 from hypothesis import given
 
-from setmatch import format_position, gcp, join, prefix_leq
+from setmatch import format_position
+from setmatch.positions import gcp, join, prefix_leq
 
 from conftest import position_sets, positions
 
