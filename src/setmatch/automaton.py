@@ -15,10 +15,11 @@ three ways.  Once per build and symbol, the family at the root is stepped,
 partitioned and lifted; under a label its classes keep their keys.  Once
 per state, the members away from the label are partitioned and lifted, and
 the goals at the label are grouped by the symbol they demand.  Once per
-step, only that symbol's group is stepped; when a goal survives, the away
-members, the survivors and the symbol's classes under the label are
-partitioned afresh.  ``State.goals`` is a view: a built state expands and
-sorts its key on the first read and keeps the tuple.
+step, only that symbol's group is stepped; when a goal survives, it joins
+the away classes and the symbol's classes under the label that hold its
+positions, and only the groups it joins are lowered and lifted afresh.
+``State.goals`` is a view: a built state expands and sorts its key on the
+first read and keeps the tuple.
 :func:`derivative` is the paper's goal-by-goal step, kept apart from
 :func:`build` as the reference the tests check it against.
 """
@@ -162,6 +163,67 @@ def _classes(members) -> list:
             for lifted, shift in [lift_class(klass)]]
 
 
+def _spots(classes) -> dict:
+    """The index of the class of each fresh position in ``classes``."""
+    return {m: c for c, (*_, klass) in enumerate(classes)
+            for m in klass if not isinstance(m, Goal)}
+
+
+def _join(survivors, label: Position, away, table, away_spots, table_spots) -> list:
+    """The (shift, key) entries of a step in which ``survivors`` reduced at
+    ``label``.
+
+    A union-find over classes, not members: the state's ``away`` classes
+    and the symbol's ``table`` classes, whose fresh positions ``away_spots``
+    and ``table_spots`` index.  A survivor joins the class of each of its
+    obligation positions: ``label + r`` is the table's ``r``, any other
+    position is an away one.  Only the groups a survivor joins are lowered
+    and lifted; every other class keeps its entry and its key.
+    """
+    n, cut = len(label), len(away)
+    parent: dict[int, int] = {}
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    firsts = []  # one class of each survivor
+    for g in survivors:
+        first = None
+        for _, p in g.obligation:
+            if p[:n] == label:
+                c = table_spots.get(p[n:])
+                c = None if c is None else cut + c
+            else:
+                c = away_spots.get(p)
+            if c is None:
+                raise InvariantError(f"obligation position {format_position(p)} "
+                                     "of a surviving goal is in no class of the step")
+            root = find(c) if c in parent else parent.setdefault(c, c)
+            if first is None:
+                first = root
+            elif root != first:
+                parent[root] = first
+        firsts.append(first)
+    groups: dict[int, list] = {}
+    for g, first in zip(survivors, firsts):
+        groups.setdefault(find(first), []).append(g)
+    for c in parent:
+        if c < cut:
+            groups[find(c)].extend(away[c][2])
+        else:
+            groups[find(c)].extend(_lower(m, label) for m in table[c - cut][2])
+    entries = [(shift, key) for c, (shift, key, _) in enumerate(away)
+               if c not in parent]
+    entries += [(label + shift, key) for c, (shift, key, _) in enumerate(table, cut)
+                if c not in parent]
+    for members in groups.values():
+        lifted, shift = lift_class(members)
+        entries.append((shift, frozenset(lifted)))
+    return entries
+
+
 def _split(key: frozenset, label: Position):
     """A key's members away from ``label``, and its goals at it by the
     symbol of their first obligation pair there: the part of a step that no
@@ -237,10 +299,13 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
     """Compile ``ps``; deterministic for a fixed strategy.
 
     Worklist construction with states deduplicated by their compact key,
-    which is equal exactly when the full goal sets are.  New ids are handed
-    out in discovery order; symbols are visited in signature declaration
-    order and successor classes in the canonical order of their goal sets,
-    so rebuilding yields an identical automaton.
+    which is equal exactly when the full goal sets are.  A step's targets
+    are the state's away classes and the symbol's table classes under the
+    label; the goals that survive at the label merge the classes they touch
+    (:func:`_join`), and every other class keeps its key.  New ids are
+    handed out in discovery order; symbols are visited in signature
+    declaration order and successor classes in the canonical order of their
+    goal sets, so rebuilding yields an identical automaton.
     """
     if label_strategy not in _STRATEGIES:
         raise ValueError(f"unknown label strategy {label_strategy!r}")
@@ -248,6 +313,7 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
     patterns = ps.patterns
     roots = [fresh_goal(pid, pat, ()) for pid, pat in enumerate(patterns)]
     tables = {symbol: _table(roots, symbol) for symbol in sig}
+    table_spots: dict[Symbol, dict] = {}  # built when a survivor first needs one
     states: list[_BuiltState] = []
     ids: dict[frozenset, int] = {}
     pending: deque[int] = deque()
@@ -265,16 +331,21 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
     while pending:
         state = states[pending.popleft()]
         label = state.label
-        away, watching = _split(state.key, label)
-        fixed = [(shift, key) for shift, key, _ in _classes(away)]
+        members, watching = _split(state.key, label)
+        away = _classes(members)
+        fixed = [(shift, key) for shift, key, _ in away]
+        away_spots = None
         for symbol in sig:
             done, table = tables[symbol]
             survivors, completed = _observe(watching.get(symbol, ()), symbol, label)
             completed.extend((pid, label) for pid, _ in done)
             if survivors:
-                below = [_lower(m, label) for *_, klass in table for m in klass]
-                entries = [(shift, key) for shift, key, _
-                           in _classes(away + survivors + below)]
+                if away_spots is None:
+                    away_spots = _spots(away)
+                spots = table_spots.get(symbol)
+                if spots is None:
+                    spots = table_spots[symbol] = _spots(table)
+                entries = _join(survivors, label, away, table, away_spots, spots)
             else:
                 entries = fixed + [(label + shift, key) for shift, key, _ in table]
             _order_targets(entries, patterns)

@@ -236,7 +236,9 @@ def _drain(a, names, ends, work, fifo, matches, log, at, limit) -> int:
         if log is not None:
             log.append((sid, _position(cell, at), len(tr.targets)))
         if tr.outputs:
-            base = cell[2] or _position(cell, at)
+            base = cell[2]
+            if base is None:
+                base = _position(cell, at)
             for pid, rel in tr.outputs:
                 n = len(rel)
                 if not n:

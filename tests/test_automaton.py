@@ -6,6 +6,8 @@ against build() output.
 """
 
 import hashlib
+import random
+import re
 from collections import Counter
 
 import pytest
@@ -15,11 +17,13 @@ from setmatch import (LEFTMOST, RIGHTMOST, InvariantError, PatternSet,
                       Signature, State, Transition, build, domain, evaluate,
                       from_json, parse_term, random_instance, subterm_at,
                       to_json, verify_automaton)
-from setmatch.automaton import (choose_label, derivative, outputs,
-                                reachable_position_bound, transition_count)
+from setmatch.automaton import (_classes, _join, _order_targets, choose_label,
+                                derivative, outputs, reachable_position_bound,
+                                transition_count)
 from setmatch.goals import (Goal, Outcome, canonical_goals,
                             dependency_partition, fresh_goal, goal_outcome,
                             goal_sort_key, lift_class)
+from setmatch.oracle import profile_signature, random_pattern_set
 from setmatch.positions import prefix_leq
 
 from conftest import pattern_sets
@@ -422,9 +426,9 @@ def test_every_obligation_term_is_the_subterm_its_position_names():
     assert goals > 20000
 
 
-@settings(max_examples=40, deadline=None)
-@given(pattern_sets())
-def test_compact_step_expands_to_the_goal_by_goal_step(ps):
+def _check_compact_step(ps):
+    """Check ``build``'s step on ``ps`` against the goal-by-goal derivative,
+    under both strategies."""
     for strategy in (LEFTMOST, RIGHTMOST):
         a = build(ps, strategy)
         verify_automaton(a)
@@ -446,6 +450,20 @@ def test_compact_step_expands_to_the_goal_by_goal_step(ps):
                               for tid, shift in tr.targets)
                 assert got == want
                 assert tr.outputs == outputs(state, symbol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pattern_sets())
+def test_compact_step_expands_to_the_goal_by_goal_step(ps):
+    _check_compact_step(ps)
+
+
+def test_compact_step_on_a_large_set_expands_to_the_goal_by_goal_step():
+    # 64 patterns, 179 states under rightmost labels: many classes per
+    # step, so survivors join few of them
+    ps = random_pattern_set(random.Random(1), profile_signature({0: 3, 1: 2, 2: 3}),
+                            64, 3, wildcard_density=0.4)
+    _check_compact_step(ps)
 
 
 def test_fresh_positions_stand_for_their_families(assoc_pattern_set):
@@ -617,38 +635,117 @@ def test_build_sorts_goal_sets_only_for_shared_shift_ties(request, monkeypatch):
     assert total_ties > 0
 
 
-def test_build_partitions_once_per_state_symbol_and_surviving_step(request,
-                                                                   monkeypatch):
-    """Only a goal that survives at the label makes a step re-partition.
+def _spy_steps(monkeypatch):
+    """Record what ``build`` partitions, lifts and steps to.
 
-    Every other class is partitioned and lifted once per state (the members
-    away from the label) or once per symbol (the family table).
+    Returns three lists that each build fills: the keys of each
+    ``_classes`` call by identity (once per symbol's table, then once per
+    state's away members), one (lifts, keys) pair per step in build order,
+    where ``lifts`` counts the step's own ``lift_class`` calls, and one
+    entry per ``dependency_partition`` call.
     """
-    partitions, lifts = [], []
+    made, steps, partitions, lifts = [], [], [], [0]
 
-    def partition(members):
-        classes = dependency_partition(members)
-        partitions.append(len(classes))
-        return classes
+    def classes(members):
+        before = lifts[0]
+        out = _classes(members)
+        lifts[0] = before  # a class's lift, not the step's
+        made.append({id(key): key for _, key, _ in out})
+        return out
 
-    monkeypatch.setattr("setmatch.automaton.dependency_partition", partition)
-    monkeypatch.setattr("setmatch.automaton.lift_class",
-                        lambda klass: lifts.append(None) or lift_class(klass))
+    def lift(klass):
+        lifts[0] += 1
+        return lift_class(klass)
+
+    def order(entries, patterns):
+        steps.append((lifts[0], [key for _, key in entries]))
+        lifts[0] = 0
+        _order_targets(entries, patterns)
+
+    monkeypatch.setattr("setmatch.automaton._classes", classes)
+    monkeypatch.setattr("setmatch.automaton.lift_class", lift)
+    monkeypatch.setattr("setmatch.automaton._order_targets", order)
+    monkeypatch.setattr("setmatch.automaton.dependency_partition",
+                        lambda members: partitions.append(None)
+                        or dependency_partition(members))
+    return made, steps, partitions
+
+
+def test_build_partitions_once_per_state_and_symbol(request, monkeypatch):
+    """No step partitions, and only a goal that survives at the label
+    makes a step lift.
+
+    The members away from the label are partitioned and lifted once per
+    state, the family table once per symbol.  A step lifts once per group
+    that its survivors join, the groups of the goal-by-goal derivative that
+    hold one; every other class reappears with the very key that its
+    state's away members or its symbol's table gave it.
+    """
+    made, steps, partitions = _spy_steps(monkeypatch)
     cases = [_pinned_pattern_set(request, name) for name in VIEW_CASES]
     cases += [random_instance(seed, profile=profile, pattern_count=1 + seed % 6)[0]
               for profile in COMPILE_PROFILES for seed in range(8)]
-    steps = spared = 0
+    total = spared = joined = 0
     for ps in cases:
         for strategy in (LEFTMOST, RIGHTMOST):
+            made.clear()
+            steps.clear()
             partitions.clear()
-            lifts.clear()
             a = build(ps, strategy)
-            surviving = sum(bool(_label_survivors(state, symbol, ps))
-                            for state in a.states for symbol in a.signature)
-            bound = len(a.states) + len(a.signature) + surviving
-            assert len(partitions) <= bound
-            assert len(lifts) == sum(partitions)  # each class is lifted once
-            steps += len(a.states) * len(a.signature)
-            spared += len(a.states) * len(a.signature) - bound
+            sig = list(a.signature)
+            assert len(partitions) == len(made) == len(sig) + len(a.states)
+            assert len(steps) == len(a.states) * len(sig)
+            tables, aways = made[:len(sig)], made[len(sig):]
+            surviving = 0
+            for k, (lifts, keys) in enumerate(steps):
+                sid, j = divmod(k, len(sig))
+                state, symbol = a.states[sid], sig[j]
+                reduced = [goal_outcome(g, symbol, state.label)[1]
+                           for g in _label_survivors(state, symbol, ps)]
+                groups = sum(any(m in reduced for m in klass) for klass
+                             in dependency_partition(derivative(state, symbol, ps)))
+                kept = sum(id(key) in aways[sid] or id(key) in tables[j]
+                           for key in keys)
+                assert lifts == groups == len(keys) - kept
+                surviving += bool(reduced)
+                joined += groups
+            total += len(a.states) * len(sig)
+            spared += len(a.states) * len(sig) - (len(a.states) + len(sig) + surviving)
     # a partition per step would break the bound by this much
-    assert spared > steps // 2
+    assert spared > total // 2
+    assert joined
+
+
+def test_a_survivor_merges_an_away_class_with_a_table_class(sig_fga, monkeypatch):
+    # under leftmost labels, f(f(a,a),g(a)) reaches a state labelled 1.1
+    # with fresh families at 1.1, 1.2 and 2; observing f there reduces the
+    # goal announced at 1 to a@1.1.1, a@1.1.2 and g(a)@1.2, which joins the
+    # away class of 1.2 to f's table class under 1.1, and leaves 2 alone
+    made, steps, _ = _spy_steps(monkeypatch)
+    ps = PatternSet.from_text("f(f(a,a),g(a))\n", sig_fga)
+    a = build(ps, LEFTMOST)
+    sig = list(a.signature)
+    (sid,) = [sid for sid, st in enumerate(a.states) if st.label == (1, 1)]
+    state = a.states[sid]
+    j = sig.index(sig_fga.symbol("f"))
+    lifts, keys = steps[sid * len(sig) + j]
+    away, table = made[len(sig) + sid], made[j]
+    assert [key for key in keys if id(key) in table] == []
+    (kept,) = [key for key in keys if id(key) in away]
+    assert kept == frozenset({()})
+    assert lifts == 1
+    # one merged target, the state itself one level down, and the class at 2
+    assert state.delta["f"].targets == ((sid, (1,)), (a.initial, (2,)))
+    # the survivor, the away family at 1.2 and the table's families under
+    # 1.1, all lifted by 1
+    assert _goal(sig_fga, [("a", (1, 1)), ("a", (1, 2)), ("g(a)", (2,))], 0, ()) \
+        in state.goals
+    assert {g.announce for g in state.goals if _is_fresh(g)} == {(1, 1), (1, 2), (2,)}
+
+
+def test_a_survivor_outside_every_class_of_its_step_is_an_invariant_error(sig_fga):
+    label = (1,)
+    for pos, name in (((2,), "2"), ((1, 3), "1.3")):
+        stray = _goal(sig_fga, [("a", pos)], 0, ())
+        with pytest.raises(InvariantError, match=rf"position {re.escape(name)} "):
+            _join([stray], label, [], [((), frozenset({()}), [(1,)])], {}, {(1,): 0})
