@@ -16,19 +16,17 @@ form knows the node count, so that bound is one compare per item.  The
 order in which the work set is drained (LIFO, FIFO, or in dealt shares)
 changes nothing about the reported match set.
 
-A pointer is a parent-linked cell ``[parent cell, shift, position or None,
-node]``, shared with the parent when the shift is empty.  A run keeps one
-table from node index to position tuple, and every position it builds
-goes through it, so each position is one tuple in the whole run, a
-pointer's and a match's alike.  A pointer's position is built only for a
-cell whose item announces a match, with one concatenation onto the
-nearest ancestor that has one, so one run costs time linear in the
-subject plus the size of its matches.  Every output's relative position
-is a prefix of its state's label (``build`` makes it so and a document
-stores it as a depth into the label), so an output's node is reached
-from the pointer's by the label's first steps, which the item's label
-walk has already checked, and its position is built the first time the
-run announces there.
+A pointer is the preorder index of its subject node, so a work item is
+two ints.  The run records each announcement as a pattern id and a node
+index.  Every output's relative position is a prefix of its state's
+label (``build`` makes it so and a document stores it as a depth into
+the label), so an output's node is reached from the pointer's by the
+label's first steps, which the item's label walk has already checked.
+Positions are made once, after the drain, by one walk down from the
+root over the nodes that a report, an instrumented run or an error
+shows: each gets one tuple, which every match there shares, so a run
+costs one sort of those nodes plus time linear in the subject and in the
+size of its matches.
 """
 
 from collections import deque
@@ -78,12 +76,12 @@ class Parallel:
 class MatchReport:
     """What one evaluation produced.
 
-    ``matches`` holds absolute (pattern id, position) pairs, and the
-    matches at one position share one tuple, the one the run gives every
-    pointer there.  ``node_count`` is the number of work items processed,
-    which equals the number of subject positions inspected.  ``inspected``
-    lists every inspected position when the run was instrumented, in
-    processing order.
+    ``matches`` holds absolute (pattern id, position) pairs, built after
+    the run from the node each announcement named, and the matches at one
+    position share one tuple.  ``node_count`` is the number of work items
+    processed, which equals the number of subject positions inspected.
+    ``inspected`` lists every inspected position when the run was
+    instrumented, in processing order.
     """
 
     matches: frozenset
@@ -98,48 +96,48 @@ def evaluate(a: SetAutomaton, subject: Term, strategy=DepthFirst(), *,
     The strategy only fixes how the work set is drained.  ``instrument``
     records every inspected position; it builds one position tuple per
     subject node, so it is a debugging aid, quadratic in the depth of the
-    subject.  ``carry_subterms`` is accepted and ignored: every pointer
-    holds its subject node.  Raises ``SubjectError`` for a wildcard or a
-    symbol outside ``a``'s signature, and ``InvariantError`` when the run
-    needs more work items than the subject has nodes.
+    subject.  ``carry_subterms`` is accepted and ignored: every pointer is
+    a node index.  Raises ``SubjectError`` for a wildcard or a symbol
+    outside ``a``'s signature, and ``InvariantError`` when the run needs
+    more work items than the subject has nodes.
     """
-    log: list | None = [] if instrument else None
-    matches: list = []
     if not isinstance(strategy, (DepthFirst, BreadthFirst, Parallel)):
         raise TypeError(f"unknown strategy {strategy!r}")
-    count = _run(a, subject, strategy, matches, log)
-    found = frozenset(matches)
-    if len(found) != len(matches):
+    pids: list = []
+    nodes: list = []
+    log: list | None = [] if instrument else None
+    count, ends = _run(a, subject, strategy, pids, nodes, log)
+    seen = nodes if log is None else chain(nodes, (k for _, _, k, _ in log))
+    at = _positions(ends, seen)
+    found = frozenset(zip(pids, map(at.__getitem__, nodes)))
+    if len(found) != len(pids):
         raise InvariantError("the automaton announced a match twice")
-    inspected = None if log is None else tuple(
-        pointer + a.states[sid].label for sid, pointer, _ in log)
+    inspected = None if log is None else tuple(at[k] for _, _, k, _ in log)
     return MatchReport(matches=found, node_count=count, inspected=inspected)
 
 
-def _run(a, subject, strategy, matches, log) -> int:
-    """Drain a run from the root, at most one item per subject node.
+def _run(a, subject, strategy, pids, nodes, log):
+    """Drain a run from the root, at most one item per subject node, and
+    return the number of items done and the subject's subtree ends.
 
     ``Parallel(n)`` drains ``n`` items FIFO and deals the waiting ones into
     ``n`` shares; queued on one LIFO deque, a share and all its descendants
-    finish before the next one starts.  Every drain of the run shares one
-    position table ``at``, from node index to position.
+    finish before the next one starts.
     """
     names, ends = _preorder(a.signature, subject)
     size = len(names)
-    root = ()
-    work = deque([(a.initial, [None, root, root, 0])])
+    work = deque([(a.initial, 0)])
     fifo = isinstance(strategy, BreadthFirst)
-    at = {0: root}
     done = 0
     if isinstance(strategy, Parallel):
         n = strategy.workers
-        done = _drain(a, names, ends, work, True, matches, log, at, min(n, size))
+        done = _drain(a, names, ends, work, True, pids, nodes, log, min(n, size))
         items = list(work)
         work = deque(chain.from_iterable(items[k::n] for k in reversed(range(n))))
-    done += _drain(a, names, ends, work, fifo, matches, log, at, size - done)
+    done += _drain(a, names, ends, work, fifo, pids, nodes, log, size - done)
     if work:
         raise _overrun(size)
-    return done
+    return done, ends
 
 
 def _preorder(sig, subject: Term):
@@ -196,31 +194,31 @@ def _check_symbol(sym, known) -> None:
             "automaton signature")
 
 
-def _drain(a, names, ends, work, fifo, matches, log, at, limit) -> int:
-    """Process (state id, pointer cell) items of ``work`` until it is empty
-    or ``limit`` items are done.
+def _drain(a, names, ends, work, fifo, pids, nodes, log, limit) -> int:
+    """Process (state id, node) items of ``work`` until it is empty or
+    ``limit`` items are done.
 
     The subject is ``names`` and ``ends`` in preorder; child ``i`` of node
     ``k`` is reached from node ``k + 1`` by ``i - 1`` skips to a subtree's
     end, each checked against the end of node ``k``'s subtree.  Appends
-    announcements to ``matches`` and, when ``log`` is a list, one (state
-    id, pointer, fan-out) entry per item.  An output at the pointer takes
-    the pointer's position.  Any other output's node is the inspected one
-    when its depth is the label's, else it is reached again from the
-    pointer's node by the label's first steps; its position is ``at``'s
-    entry for that node, built from the pointer's position and those steps
-    the first time.  Returns the number of items processed; the caller
-    holds that number to the subject's node count.
+    each announcement's pattern id to ``pids`` and its node to ``nodes``
+    and, when ``log`` is a list, one (state id, pointer node, inspected
+    node, fan-out) entry per item.  An output at the pointer names the
+    pointer's node, one at the label's depth the inspected node; any other
+    output's node is reached again from the pointer's by the label's first
+    steps.  Returns the number of items processed; the caller holds that
+    number to the subject's node count.
     """
     states = a.states
     pop = work.popleft if fifo else work.pop
     push = work.append
+    add_pid, add_node = pids.append, nodes.append
     done = 0
     while work and done < limit:
-        sid, cell = pop()
+        sid, here = pop()
         state = states[sid]
         label = state.label
-        node = here = cell[3]
+        node = here
         for i in label:
             end = ends[node]
             node += 1
@@ -228,35 +226,28 @@ def _drain(a, names, ends, work, fifo, matches, log, at, limit) -> int:
                 node = ends[node]
                 i -= 1
             if i != 1 or node >= end:
-                raise _off_subject(ends, cell, label, at)
+                raise _off_subject(ends, here, label)
         name = names[node]
         tr = state.delta.get(name)
         if tr is None:
             raise InvariantError(f"state {sid} has no transition for '{name}'")
         if log is not None:
-            log.append((sid, _position(cell, at), len(tr.targets)))
-        if tr.outputs:
-            base = cell[2]
-            if base is None:
-                base = _position(cell, at)
-            for pid, rel in tr.outputs:
-                n = len(rel)
-                if not n:
-                    pos = base
-                else:
-                    if n == len(label):
-                        k, steps = node, label
-                    else:
-                        k, steps = here, label[:n]
-                        for i in steps:
-                            k += 1
-                            while i > 1:
-                                k = ends[k]
-                                i -= 1
-                    pos = at.get(k)
-                    if pos is None:
-                        pos = at[k] = base + steps
-                matches.append((pid, pos))
+            log.append((sid, here, node, len(tr.targets)))
+        for pid, rel in tr.outputs:
+            n = len(rel)
+            if not n:
+                k = here
+            elif n == len(label):
+                k = node
+            else:
+                k = here
+                for i in label[:n]:
+                    k += 1
+                    while i > 1:
+                        k = ends[k]
+                        i -= 1
+            add_pid(pid)
+            add_node(k)
         for tid, shift in tr.targets:
             if shift:
                 sub = here
@@ -267,45 +258,48 @@ def _drain(a, names, ends, work, fifo, matches, log, at, limit) -> int:
                         sub = ends[sub]
                         i -= 1
                     if i != 1 or sub >= end:
-                        raise _off_subject(ends, cell, shift, at)
-                push((tid, [cell, shift, None, sub]))
+                        raise _off_subject(ends, here, shift)
+                push((tid, sub))
             else:
-                push((tid, cell))
+                push((tid, here))
         done += 1
     return done
 
 
-def _position(cell, at) -> Position:
-    """The position of a pointer cell, stored in it for its descendants.
+def _positions(ends, nodes) -> dict:
+    """The position of every node in ``nodes``, one tuple per node, by
+    node index.
 
-    It is ``at``'s entry for the cell's node if the run has built one.
-    Otherwise it is built with one concatenation onto the nearest ancestor
-    cell that holds a position, and entered in ``at``.  The cells between
-    keep none: on a deep unary chain, keeping every prefix of a pointer's
-    position would take memory quadratic in the depth.
+    The nodes are visited in preorder by one walk down from the root that
+    keeps the subtree ends and child numbers of the path to the last node
+    visited.  It climbs only out of finished subtrees and goes on from the
+    next sibling, so it skips each subtree at most once.
     """
-    pos = cell[2]
-    if pos is None:
-        pos = at.get(cell[3])
-        if pos is None:
-            up, shifts = cell[0], [cell[1]]
-            while up[2] is None:
-                shifts.append(up[1])
-                up = up[0]
-            if len(shifts) > 1:
-                pos = up[2] + tuple(chain.from_iterable(reversed(shifts)))
-            else:
-                pos = up[2] + cell[1]
-            at[cell[3]] = pos
-        cell[2] = pos
-    return pos
+    at = {}
+    stops, steps = [ends[0]], []
+    child, i = 1, 1  # the next child of the path's last node, and its number
+    for node in sorted(set(nodes)):
+        while node >= stops[-1]:
+            child = stops.pop()
+            i = steps.pop() + 1
+        while child <= node:
+            end = ends[child]
+            while end <= node:
+                child = end
+                end = ends[child]
+                i += 1
+            stops.append(end)
+            steps.append(i)
+            child, i = child + 1, 1
+        at[node] = tuple(steps)
+    return at
 
 
-def _off_subject(ends, cell, path: Position, at) -> InvariantError:
-    """The error for a label or shift that walks off the subject."""
-    node, k = cell[3], 0
-    while True:
-        i, end = path[k], ends[node]
+def _off_subject(ends, node, path: Position) -> InvariantError:
+    """The error for a label or shift that walks off the subject from
+    node ``node``."""
+    for k, i in enumerate(path):
+        end = ends[node]
         child = node + 1
         while i > 1 and child < end:
             child = ends[child]
@@ -313,8 +307,7 @@ def _off_subject(ends, cell, path: Position, at) -> InvariantError:
         if i != 1 or child >= end:
             break
         node = child
-        k += 1
-    where = _position(cell, at) + path[:k + 1]
+    where = _positions(ends, (node,))[node] + (path[k],)
     return InvariantError(
         f"no subject node at {format_position(where)}; "
         "the automaton and the subject disagree")
@@ -344,10 +337,11 @@ def evaluation_tree(a: SetAutomaton, subject: Term) -> EvalNode:
     every node's children come in the order of its transition's targets.
     """
     log: list = []
-    _run(a, subject, BreadthFirst(), [], log)
-    nodes = [EvalNode(sid, pointer, []) for sid, pointer, _ in log]
+    _, ends = _run(a, subject, BreadthFirst(), [], [], log)
+    at = _positions(ends, (here for _, here, _, _ in log))
+    nodes = [EvalNode(sid, at[here], []) for sid, here, _, _ in log]
     rest = iter(nodes[1:])
-    for node, (_, _, fanout) in zip(nodes, log):
+    for node, (_, _, _, fanout) in zip(nodes, log):
         node.children.extend(islice(rest, fanout))
     return nodes[0]
 

@@ -81,6 +81,29 @@ def test_matches_below_a_deep_chain_agree_with_brute_force(sig_fga):
         expected = brute_force_matches(ps, t)
         for s in ALL_STRATEGIES:
             assert evaluate(a, t, s).matches == expected
+    # and one subject with an 8-ary root whose 5th and 8th arguments are
+    # comb spines 12 and 21 deep, the others g-chains with no match: the
+    # matches under those two, and below them, are found past the
+    # sibling subtrees before them
+    wide = Signature(COMB_SYMBOLS + (("h", 8),))
+    ps = _combs(wide)
+    a = build(ps)
+    kids = []
+    for j in range(8):
+        kid = Term(wide.symbol("a"))
+        for _ in range(j):
+            kid = Term(wide.symbol("g"), (kid,))
+        kids.append(_spine(wide, 3 * j, True, rng) if j in (4, 7) else kid)
+    t = Term(wide.symbol("h"), tuple(kids))
+    expected = brute_force_matches(ps, t)
+    assert {p[:1] for _, p in expected} == {(5,), (8,)}
+    assert max(len(p) for _, p in expected) > 10
+    for s in ALL_STRATEGIES:
+        for instrument in (False, True):
+            report = evaluate(a, t, s, instrument=instrument)
+            assert report.matches == expected
+            if instrument:
+                assert sorted(report.inspected) == sorted(domain(t))
 
 
 @settings(max_examples=60, deadline=None)
@@ -248,7 +271,7 @@ def test_an_output_off_the_label_raises_only_a_setmatch_error():
 
 def test_duplicate_announcement_raises(assoc_pattern_set, assoc_subject):
     # a hand-edited automaton that announces every match twice, also on a
-    # spine 72 deep, where both copies take one tuple from the node table
+    # spine 72 deep, where both copies name one node and take one tuple
     sig = Signature(COMB_SYMBOLS)
     deep = _spine(sig, 72, True, random.Random(3))
     for ps, t in ((assoc_pattern_set, assoc_subject), (_combs(sig), deep)):
@@ -512,9 +535,9 @@ def _spine(sig, depth, comb, rng, bottom=None):
 @pytest.mark.parametrize("label_strategy", (RIGHTMOST, LEFTMOST))
 @pytest.mark.parametrize("comb", (True, False), ids=("comb", "mixed"))
 def test_matches_at_one_position_share_its_tuple(label_strategy, comb):
-    # t1..t8 all match at most spine nodes of a comb; every position, a
-    # match's or a pointer's, is kept once per run by its node, so the
-    # matches at one position share exactly one tuple
+    # t1..t8 all match at most spine nodes of a comb; every position is
+    # made once per run from its node, so the matches at one position
+    # share exactly one tuple
     sig = Signature(COMB_SYMBOLS)
     ps = _combs(sig)
     a = build(ps, label_strategy)
@@ -535,8 +558,9 @@ def test_matches_at_one_position_share_its_tuple(label_strategy, comb):
 
 @pytest.mark.parametrize("label_strategy", (RIGHTMOST, LEFTMOST))
 def test_deep_matches_ignore_output_order(label_strategy):
-    # with every transition's outputs reversed, the positions on a spine
-    # 104 deep enter the node table in another order and must be the same
+    # with every transition's outputs reversed, the nodes on a spine 104
+    # deep are announced in another order and their positions must be the
+    # same
     sig = Signature(COMB_SYMBOLS)
     ps = _combs(sig)
     a = build(ps, label_strategy)
