@@ -132,9 +132,11 @@ def test_parse_error_offsets(sig_fga):
 
 
 # Single characters inserted into the pinned parser inputs: the syntax's
-# punctuation, the wildcard, ASCII and Unicode whitespace (an em space), and
-# a letter outside the name alphabet.
-PARSE_INSERTIONS = "(),_ \t\u2003\u00e9"
+# punctuation, the wildcard, ASCII and Unicode whitespace (an em space, a
+# no-break space, and the separator and next-line controls that ``\s`` and
+# ``str.split`` also treat as space), a letter outside the name alphabet,
+# and a punctuation mark outside the syntax.
+PARSE_INSERTIONS = "(),_ \t\u2003\u00a0\x1c\x85\u00e9-"
 PARSE_SEPARATORS = ("", "", "", "", " ", "\t", "\n", "\u2003")
 PARSE_SYMBOLS = (("f", 2), ("g", 1), ("a", 0), ("h", 3), ("b0", 0))
 
@@ -187,7 +189,7 @@ def _parse_outcome(text, allow_wildcard, extend) -> str:
 
 
 PINNED_PARSE_OUTCOMES = (
-    42480, "d8693d2066633830e7ae01cac3e52738e61668361e3977c1224b688f8328b8bd")
+    59648, "6a10da6d2f7ae792a97b63030a7ae76ebc79ff13cccf55682cce13bf8076d99e")
 
 
 def test_parse_outcomes_are_pinned():
