@@ -204,10 +204,10 @@ def _drain(a, names, ends, work, fifo, pids, nodes, log, limit) -> int:
     each announcement's pattern id to ``pids`` and its node to ``nodes``
     and, when ``log`` is a list, one (state id, pointer node, inspected
     node, fan-out) entry per item.  An output at the pointer names the
-    pointer's node, one at the label's depth the inspected node; any other
-    output's node is reached again from the pointer's by the label's first
-    steps.  Returns the number of items processed; the caller holds that
-    number to the subject's node count.
+    pointer's node, one at the label's depth the inspected node, and any
+    other the label's node at its depth, from one more label walk per item.
+    Returns the number of items processed; the caller holds that number to
+    the subject's node count.
     """
     states = a.states
     pop = work.popleft if fifo else work.pop
@@ -233,6 +233,7 @@ def _drain(a, names, ends, work, fifo, pids, nodes, log, limit) -> int:
             raise InvariantError(f"state {sid} has no transition for '{name}'")
         if log is not None:
             log.append((sid, here, node, len(tr.targets)))
+        path = None  # the label's nodes, walked when an output needs them
         for pid, rel in tr.outputs:
             n = len(rel)
             if not n:
@@ -240,12 +241,15 @@ def _drain(a, names, ends, work, fifo, pids, nodes, log, limit) -> int:
             elif n == len(label):
                 k = node
             else:
-                k = here
-                for i in label[:n]:
-                    k += 1
-                    while i > 1:
-                        k = ends[k]
-                        i -= 1
+                if path is None:
+                    path, k = [here], here
+                    for i in label[:-1]:
+                        k += 1
+                        while i > 1:
+                            k = ends[k]
+                            i -= 1
+                        path.append(k)
+                k = path[n]
             add_pid(pid)
             add_node(k)
         for tid, shift in tr.targets:

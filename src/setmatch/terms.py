@@ -11,12 +11,13 @@ parentheses, e.g. ``f(g(a),_)``.  Whitespace is insignificant.  All parse
 errors carry the offset, in characters, at which the input stopped making
 sense.
 
-:func:`parse_term` makes one scan over the tokens and emits the term in
-preorder, a :class:`Flat`: each node's symbol name and the end of its
-subtree.  The term it returns holds that form, which is what matching
-reads, and builds its subterms from it, in one bottom-up walk, only when
-they are first read.  That walk is the one tree builder of parsed terms,
-patterns included.
+:func:`parse_term` splits the text into tokens, with ``str.split`` unless a
+character outside the syntax needs the regular expression, and one scan
+over them emits the term in preorder, a :class:`Flat`: each node's symbol
+name and the end of its subtree.  The term it returns holds that form,
+which is what matching reads, and builds its subterms from it, in one
+bottom-up walk, only when they are first read.  That walk is the one tree
+builder of parsed terms, patterns included.
 """
 
 import re
@@ -333,6 +334,7 @@ _IDENT_RE = re.compile(r"[A-Za-z0-9_]+")
 # a name, or any other single character that is not whitespace
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|\S")
 _SPACE_RE = re.compile(r"\s+")  # what lies between the tokens
+_OTHER_RE = re.compile(r"[^A-Za-z0-9_(),\s]")  # a character outside the syntax
 
 
 def parse_term(text: str, sig: Signature, *, allow_wildcard: bool = False,
@@ -342,24 +344,25 @@ def parse_term(text: str, sig: Signature, *, allow_wildcard: bool = False,
     With ``extend`` unknown symbols are declared at the arity they are used,
     otherwise they are rejected.  Wildcards (``_``) are only accepted with
     ``allow_wildcard``.  Known symbols must be used at their declared arity.
-    The text is split into tokens by one regular-expression scan, and one
-    walk over the tokens checks them and emits the term in preorder: a
-    symbol name per node and the end of each node's subtree (:class:`Flat`).
+    The text is split into tokens by :func:`_tokens`, and one walk over
+    the tokens checks them and emits the term in preorder: a symbol name
+    per node and the end of each node's subtree (:class:`Flat`).
     Open argument lists wait on a stack, so nesting depth is limited by
     memory only.  The returned term holds that flat form; its subterms are
     built from it when first read.  A :class:`ParseError` carries the
     offset in ``text`` of the token it stopped at, or ``len(text)`` at the
     end of the input.
     """
-    tokens = _TOKEN_RE.findall(text)
+    tokens = _tokens(text)
     tokens.append("")  # end of input; no token is empty
     known = sig._by_name.get
     names: list[str] = []
     ends: list[int] = []
-    opened: list = []  # (node, token index, symbol or None) per open list
-    commas: list[int] = []  # commas so far, per open argument list
+    add_name, add_end = names.append, ends.append
+    lists: list = []  # [node, token index, symbol or None, arguments] per open list
+    push, pop = lists.append, lists.pop
     wildcards = False
-    k = 0
+    n = k = 0  # nodes so far, and the token at hand
     while True:
         name = tokens[k]
         sym = known(name)
@@ -368,30 +371,29 @@ def parse_term(text: str, sig: Signature, *, allow_wildcard: bool = False,
                 raise _parse_error(text, k, _no_term(name))
             wildcards = True
         elif tokens[k + 1] == "(":
-            opened.append((len(names), k, sym))
-            commas.append(0)
-            names.append(name)
-            ends.append(0)  # set when the list closes
-            k += 2
+            push([n, k, sym, 1])
+            add_name(name)
+            add_end(0)  # set when the list closes
+            n, k = n + 1, k + 2
             continue
         elif sym is None or sym.arity:
             _declare(text, sig, name, k, 0, extend)
-        names.append(name)
-        ends.append(len(names))
+        add_name(name)
+        n += 1
+        add_end(n)
         k += 1
-        while opened:
+        while lists:
             tok = tokens[k]
             k += 1
             if tok == ",":
-                commas[-1] += 1
+                lists[-1][3] += 1
                 break
             if tok != ")":
                 raise _parse_error(text, k - 1, "expected ',' or ')'")
-            node, start, sym = opened.pop()
-            arity = commas.pop() + 1
+            node, start, sym, arity = pop()
             if sym is None or sym.arity != arity:
                 _declare(text, sig, names[node], start, arity, extend)
-            ends[node] = len(names)
+            ends[node] = n
         else:  # every argument list is closed: the nodes are the whole input
             if tokens[k]:
                 raise _parse_error(text, k, "trailing input after term")
@@ -403,6 +405,15 @@ def parse_term(text: str, sig: Signature, *, allow_wildcard: bool = False,
             # as tuples of ints and strings, the collector stops tracking them
             term._flat = Flat(sig, tuple(names), tuple(ends), wildcards, text)
             return term
+
+
+def _tokens(text: str) -> list[str]:
+    """``_TOKEN_RE``'s tokens of ``text``.  A text of the syntax's characters
+    only is cut by ``str.split``, which splits where ``\\s`` does; any other
+    character is a parse error, whose offset the regular expression keeps."""
+    if _OTHER_RE.search(text) is None:
+        return text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
+    return _TOKEN_RE.findall(text)
 
 
 def _no_term(token: str) -> str:

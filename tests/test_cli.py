@@ -257,6 +257,20 @@ def test_match_reports_the_offset_in_the_term_file_as_written(compiled, tmp_path
     assert "offset 9: expected a term" in capsys.readouterr().err
 
 
+def test_match_reads_crlf_line_ends_and_tabs_as_whitespace(compiled, tmp_path,
+                                                          capsys):
+    auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
+    plain = _write_term(tmp_path, "f(f(a, f(a, a)), a)")
+    spaced = tmp_path / "spaced.term"
+    spaced.write_bytes(b"f(\r\n\tf(a,\tf(a, a)),\r\n\ta\t)\r\n")
+    capsys.readouterr()
+    outs = []
+    for term in (plain, spaced):
+        assert main(["match", "--automaton", str(auto), "--term", str(term)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[1] == outs[0] == "f(_,f(_,_)) @ 1\nf(f(_,_),_) @ ε\n"
+
+
 def test_match_deep_term_from_file(compiled, tmp_path, capsys):
     # 3,000 nested f's: deeper than the interpreter's recursion limit
     auto = compiled("fa", "f(_, a)\n")

@@ -12,7 +12,7 @@ from setmatch import (ParseError, PatternSet, PatternSetError, PositionError,
                       Signature, SignatureError, Term, domain, format_term,
                       matches, parse_term, read_signature, subterm_at,
                       term_size, write_signature)
-from setmatch.terms import WILDCARD
+from setmatch.terms import _TOKEN_RE, WILDCARD, _tokens
 
 from conftest import pattern_terms, positions, subject_terms
 
@@ -202,6 +202,11 @@ def test_parse_outcomes_are_pinned():
                 h.update(f"{text!r}\t{outcome}\n".encode())
                 count += 1
     assert (count, h.hexdigest()) == PINNED_PARSE_OUTCOMES
+
+
+def test_split_tokens_are_the_regular_expression_tokens():
+    for text in _pinned_parse_texts():
+        assert _tokens(text) == _TOKEN_RE.findall(text), repr(text)
 
 
 def test_parse_deep_nesting_without_recursion(sig_fga):
