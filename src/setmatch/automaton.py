@@ -39,7 +39,7 @@ LEFTMOST = "leftmost"
 RIGHTMOST = "rightmost"
 _STRATEGIES = (LEFTMOST, RIGHTMOST)
 
-Announcement = tuple[int, Position]  # (pattern id, a prefix of the state's label)
+Announcement = tuple[int, int]       # (pattern id, depth into the state's label)
 TargetRef = tuple[int, Position]     # (state id, pointer shift)
 
 
@@ -47,12 +47,8 @@ TargetRef = tuple[int, Position]     # (state id, pointer shift)
 class Transition:
     """What observing one symbol at a state's label does.
 
-    Every output's position is a prefix of the state's label, so a match
-    lies on the path its inspection walked: ``build`` makes it so, a
-    document names each output by its depth into the label, and
-    ``verify_automaton`` catches an automaton edited in Python, which
-    ``to_json`` refuses to write.  Evaluation relies on it and does not
-    check it per output.
+    An output is a pattern id and a depth into the state's label: the match
+    lies at ``label[:depth]``, on the path its inspection walked.
     """
 
     outputs: tuple[Announcement, ...]
@@ -133,8 +129,9 @@ def derivative(state: State, symbol: Symbol, ps: PatternSet) -> list[Goal]:
     return out
 
 
-def outputs(state: State, symbol: Symbol) -> tuple[Announcement, ...]:
-    """Announcements of goals that ``symbol`` at the label would complete.
+def outputs(state: State, symbol: Symbol) -> tuple[tuple[int, Position], ...]:
+    """(pattern id, position) pairs of the goals that ``symbol`` at the
+    label would complete.
 
     These are exactly the goals whose whole obligation is a lone
     ``symbol(_,...,_)`` at the label.
@@ -254,7 +251,7 @@ def _observe(goals, symbol: Symbol, at: Position):
         if outcome is Outcome.REDUCED:
             survivors.append(reduced)
         elif outcome is Outcome.COMPLETED:
-            completed.append((g.pattern, g.announce))
+            completed.append((g.pattern, len(g.announce)))
     return survivors, completed
 
 
@@ -338,7 +335,7 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
         for symbol in sig:
             done, table = tables[symbol]
             survivors, completed = _observe(watching.get(symbol, ()), symbol, label)
-            completed.extend((pid, label) for pid, _ in done)
+            completed.extend((pid, len(label)) for pid, _ in done)
             if survivors:
                 if away_spots is None:
                     away_spots = _spots(away)

@@ -30,8 +30,8 @@ def to_dot(a: SetAutomaton) -> str:
     for sid, st in enumerate(a.states):
         for name, tr in st.delta.items():
             label = name
-            for pid, pos in tr.outputs:
-                label += f"\n{texts[pid]}@{format_position(pos)}"
+            for pid, depth in tr.outputs:
+                label += f"\n{texts[pid]}@{format_position(st.label[:depth])}"
             if tr.targets:
                 junction = f"j{sid}_{name}"
                 lines.append(f"  {junction} [shape=point];")

@@ -18,10 +18,10 @@ changes nothing about the reported match set.
 
 A pointer is the preorder index of its subject node, so a work item is
 two ints.  The run records each announcement as a pattern id and a node
-index.  Every output's relative position is a prefix of its state's
-label (``build`` makes it so and a document stores it as a depth into
-the label), so an output's node is reached from the pointer's by the
-label's first steps, which the item's label walk has already checked.
+index.  An output is a depth into its state's label, so its node is
+reached from the pointer's by the label's first steps, which the item's
+label walk has already checked; a depth outside the label raises
+``InvariantError``.
 Positions are made once, after the drain, by one walk down from the
 root over the nodes that a report, an instrumented run or an error
 shows: each gets one tuple, which every match there shares, so a run
@@ -203,9 +203,10 @@ def _drain(a, names, ends, work, fifo, pids, nodes, log, limit) -> int:
     end, each checked against the end of node ``k``'s subtree.  Appends
     each announcement's pattern id to ``pids`` and its node to ``nodes``
     and, when ``log`` is a list, one (state id, pointer node, inspected
-    node, fan-out) entry per item.  An output at the pointer names the
-    pointer's node, one at the label's depth the inspected node, and any
-    other the label's node at its depth, from one more label walk per item.
+    node, fan-out) entry per item.  An output at depth 0 names the
+    pointer's node, one at the label's full depth the inspected node, and
+    one in between the label's node at its depth, from one more label walk
+    per item; a depth outside the label raises ``InvariantError``.
     Returns the number of items processed; the caller holds that number to
     the subject's node count.
     """
@@ -234,13 +235,16 @@ def _drain(a, names, ends, work, fifo, pids, nodes, log, limit) -> int:
         if log is not None:
             log.append((sid, here, node, len(tr.targets)))
         path = None  # the label's nodes, walked when an output needs them
-        for pid, rel in tr.outputs:
-            n = len(rel)
+        for pid, n in tr.outputs:
             if not n:
                 k = here
             elif n == len(label):
                 k = node
             else:
+                if not 0 < n < len(label):
+                    raise InvariantError(
+                        f"state {sid}, symbol '{name}': pattern {pid} is announced "
+                        f"at depth {n}, off the label {format_position(label)}")
                 if path is None:
                     path, k = [here], here
                     for i in label[:-1]:

@@ -4,15 +4,16 @@ The document holds what matching needs and what rebuilding needs: the
 signature, the pattern texts, the label strategy, the initial state, and
 the states.  A state is an array: its label, then one row entry per
 signature symbol, in signature order.  An entry is ``[outputs, targets]``.
-Outputs are flat ``pattern, depth`` integer pairs; a depth names the
-position ``label[:depth]``, so every output lies on its state's label, the
-rule ``build`` keeps, ``to_json`` checks and evaluation relies on.  Targets are flat ``state,
-shift`` pairs.  A state's id is its index, and no object key repeats per
-state, transition, output or target.  Goal sets are the compiler's working
-data and are not stored, so a loaded state has ``goals=None``.  Because
-:func:`~setmatch.automaton.build` is deterministic, any automaton, loaded
-or built, is verified by rebuilding it from its patterns and label strategy
-and comparing the two (:func:`~setmatch.automaton.verify_automaton`).
+Outputs are flat ``pattern, depth`` integer pairs, as
+``Transition.outputs`` holds them: a depth names the position
+``label[:depth]``, so every output lies on its state's label.  Targets
+are flat ``state, shift`` pairs.  A state's id is its index, and no
+object key repeats per state, transition, output or target.  Goal sets
+are the compiler's working data and are not stored, so a loaded state
+has ``goals=None``.  Because :func:`~setmatch.automaton.build` is
+deterministic, any automaton, loaded or built, is verified by rebuilding
+it from its patterns and label strategy and comparing the two
+(:func:`~setmatch.automaton.verify_automaton`).
 
 The text is compact JSON, deterministic, with a stable key order.
 ``from_json`` reads a document in one pass and raises a
@@ -28,34 +29,22 @@ order: outputs, then targets.
 import json
 
 from .automaton import LEFTMOST, RIGHTMOST, SetAutomaton, State, Transition
-from .errors import (FormatError, InvariantError, ParseError, PatternSetError,
-                     SignatureError)
-from .positions import format_position
+from .errors import FormatError, ParseError, PatternSetError, SignatureError
 from .terms import PatternSet, Signature, parse_term
 
 SCHEMA_VERSION = 4
 
 
 def to_json(a: SetAutomaton) -> str:
-    """The document of ``a``.  Raises ``InvariantError`` for an output that
-    does not lie on its state's label, which no document can hold."""
+    """The document of ``a``."""
     names = [s.name for s in a.signature]
     states = []
-    for sid, st in enumerate(a.states):
-        label = st.label
-        row = [label]
+    for st in a.states:
+        row = [st.label]
         for name in names:
             tr = st.delta[name]
-            outs = []
-            for pid, pos in tr.outputs:
-                depth = len(pos)
-                if label[:depth] != pos:
-                    raise InvariantError(
-                        f"state {sid}, symbol '{name}': the output of pattern {pid} at "
-                        f"{format_position(pos)} is not on the label "
-                        f"{format_position(label)}")
-                outs += (pid, depth)
-            row.append((outs, [x for target in tr.targets for x in target]))
+            row.append(([x for output in tr.outputs for x in output],
+                        [x for target in tr.targets for x in target]))
         states.append(row)
     doc = {
         "version": SCHEMA_VERSION,
@@ -155,7 +144,7 @@ def from_json(text: str) -> SetAutomaton:
                     _fail(f"symbol '{name}': depth {depth!r} must be an integer from 0 "
                           f"to {len(label)}, the length of the state's label",
                           "states", i, k, 0, j + 1)
-                outs.append((pid, label[:depth]))
+                outs.append((pid, depth))
             if type(raw_tgts) is not list or len(raw_tgts) % 2:
                 _fail(f"symbol '{name}': must be an array of state, shift pairs",
                       "states", i, k, 1)

@@ -158,7 +158,7 @@ def test_criterion_2_nested_pattern_automaton_reconstruction():
 
     deep = by_goals[expected[3]]
     assert deep.label == (1, 2)
-    assert deep.delta["g"].outputs == ((0, ()),)
+    assert deep.delta["g"].outputs == ((0, 0),)
 
     two_branch = by_goals[expected[1]]
     assert {shift for _, shift in two_branch.delta["g"].targets} \

@@ -50,6 +50,12 @@ def _state_map(a):
     return {frozenset(s.goals): (i, s) for i, s in enumerate(a.states)}
 
 
+def _positioned(state, tr):
+    """A transition's outputs as (pattern id, position) pairs, the form of
+    the reference :func:`outputs`."""
+    return tuple((pid, state.label[:depth]) for pid, depth in tr.outputs)
+
+
 def _expected_nested_states(sig):
     """The four states for {f(f(_,g(_)),g(_))} under rightmost labels."""
     l = "f(f(_,g(_)),g(_))"
@@ -171,7 +177,7 @@ def test_transition_outputs_equal_outputs_of_the_state(nested_pattern_set,
             a = build(ps, strategy)
             for state in a.states:
                 for symbol in a.signature:
-                    assert state.delta[symbol.name].outputs \
+                    assert _positioned(state, state.delta[symbol.name]) \
                         == outputs(state, symbol)
 
 
@@ -200,7 +206,7 @@ def test_build_nested_pattern_matches_hand_derivation(sig_fga,
         (i2, "g"): ((), {(i0, (1, 1))}),
         (i2, "a"): ((), set()),
         (i3, "f"): ((), {(i0, (1, 1)), (i1, (1, 2))}),
-        (i3, "g"): (((0, ()),), {(i2, (1,)), (i0, (1, 2, 1))}),
+        (i3, "g"): (((0, 0),), {(i2, (1,)), (i0, (1, 2, 1))}),
         (i3, "a"): ((), {(i0, (1, 1))}),
     }
     for (sid, name), (outs, targets) in expected_delta.items():
@@ -232,9 +238,9 @@ def test_build_rotation_patterns_matches_hand_derivation(assoc_pattern_set,
     assert set(a.states[i0].delta["f"].targets) == {(i1, ()), (i2, ())}
     assert a.states[i0].delta["f"].outputs == ()
     assert a.states[i0].delta["a"].targets == ()
-    assert a.states[i1].delta["f"].outputs == ((0, ()),)
+    assert a.states[i1].delta["f"].outputs == ((0, 0),)
     assert set(a.states[i1].delta["f"].targets) == {(i1, (1,)), (i2, (1,))}
-    assert a.states[i2].delta["f"].outputs == ((1, ()),)
+    assert a.states[i2].delta["f"].outputs == ((1, 0),)
     assert set(a.states[i2].delta["f"].targets) == {(i1, (2,)), (i2, (2,))}
 
 
@@ -243,7 +249,7 @@ def test_build_single_constant_pattern():
     a = build(ps)
     assert len(a.states) == 1
     tr = a.states[0].delta["a"]
-    assert tr.outputs == ((0, ()),) and tr.targets == ()
+    assert tr.outputs == ((0, 0),) and tr.targets == ()
 
 
 def test_two_targets_can_share_a_shift():
@@ -314,10 +320,12 @@ def test_compiled_documents_are_pinned(request, name, strategy):
 
 
 def _structure_digest(a):
-    """SHA-256 over ``initial`` and each state's label, outputs and targets."""
+    """SHA-256 over ``initial`` and each state's label, outputs and targets,
+    with every output as its position, the form these digests were first
+    taken in."""
     h = hashlib.sha256(repr(a.initial).encode())
     for st in a.states:
-        h.update(repr((st.label, [(name, tr.outputs, tr.targets)
+        h.update(repr((st.label, [(name, _positioned(st, tr), tr.targets)
                                   for name, tr in st.delta.items()])).encode())
     return h.hexdigest()
 
@@ -449,7 +457,7 @@ def _check_compact_step(ps):
                 got = Counter((frozenset(a.states[tid].goals), shift)
                               for tid, shift in tr.targets)
                 assert got == want
-                assert tr.outputs == outputs(state, symbol)
+                assert _positioned(state, tr) == outputs(state, symbol)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,6 @@
 """Graphviz export: deterministic text, output labels, sink handling."""
 
-from setmatch import PatternSet, build, to_dot
+from setmatch import RIGHTMOST, PatternSet, build, to_dot
 
 
 def test_dot_is_deterministic(nested_automaton):
@@ -43,3 +43,10 @@ def test_dot_escapes_are_parseable(nested_automaton):
     assert text.count("{") == text.count("}")
     for line in text.splitlines():
         assert line.count('"') % 2 == 0
+
+
+def test_dot_shows_an_announcement_in_the_middle_of_the_label():
+    # under label 2.1, g(a) completes at 2 and f(_,g(a)) at the pointer
+    a = build(PatternSet.from_text("f(_,g(a))\ng(a)\n"), RIGHTMOST)
+    assert '  s3 -> final [label="a\\nf(_,g(a))@ε\\ng(a)@2"];' \
+        in to_dot(a).splitlines()

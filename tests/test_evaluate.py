@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 
 from setmatch import (LEFTMOST, RIGHTMOST, BreadthFirst, DepthFirst,
-                      InvariantError, Parallel, PatternSet, SetMatchError,
-                      Signature, SubjectError, Term, build, brute_force_matches,
+                      InvariantError, Parallel, PatternSet, Signature,
+                      SubjectError, Term, build, brute_force_matches,
                       comb_pattern, domain, evaluate, evaluation_tree,
                       format_term, matches, parse_term, subterm_at, tree_nodes)
 from setmatch.automaton import Transition
@@ -246,27 +246,35 @@ def test_shift_outside_subject_fails_loudly(assoc_pattern_set, assoc_subject):
 
 
 def test_an_output_off_the_label_raises_only_a_setmatch_error():
-    # the automaton edited in Python that ``to_json`` refuses: under label 2
-    # it announces at 1; a run may report a wrong match, but it reads no
-    # node past the subject, so it fails, if at all, with a SetMatchError
-    # and reports only positions the subject has
+    # an automaton edited in Python whose state under label 2 announces at
+    # a depth past the label's end, or below its start: up to the first
+    # item that takes that transition, a run is the unedited one, so it
+    # raises InvariantError exactly when f(_,a) matches, and otherwise
+    # reports no match
     sig = Signature((("f", 2), ("a", 0)))
-    a = build(PatternSet.from_text("f(_,a)\n", sig))
-    assert a.states[1].label == (2,)
-    a.states[1].delta["a"] = Transition(outputs=((0, (1,)),), targets=())
+    ps = PatternSet.from_text("f(_,a)\n", sig)
     rng = random.Random(26)
     subjects = [random_subject(rng, sig, size) for size in range(1, 40)]
     chain = Term(sig.symbol("a"))
     for _ in range(80):
         chain = Term(sig.symbol("f"), (Term(sig.symbol("a")), chain))
-    for t in subjects + [chain]:
-        for strategy in ALL_STRATEGIES:
-            for instrument in (False, True):
-                try:
-                    report = evaluate(a, t, strategy, instrument=instrument)
-                except SetMatchError:
-                    continue
-                assert {p for _, p in report.matches} <= domain(t)
+    a = build(ps)
+    label = a.states[1].label
+    assert label == (2,)
+    for depth in (len(label) + 1, -1):
+        a.states[1].delta["a"] = Transition(outputs=((0, depth),), targets=())
+        message = (rf"^state 1, symbol 'a': pattern 0 is announced at depth "
+                   rf"{depth}, off the label 2$")
+        for t in subjects + [chain]:
+            fires = bool(brute_force_matches(ps, t))
+            for strategy in ALL_STRATEGIES:
+                for instrument in (False, True):
+                    if fires:
+                        with pytest.raises(InvariantError, match=message):
+                            evaluate(a, t, strategy, instrument=instrument)
+                    else:
+                        report = evaluate(a, t, strategy, instrument=instrument)
+                        assert report.matches == frozenset()
 
 
 def test_duplicate_announcement_raises(assoc_pattern_set, assoc_subject):

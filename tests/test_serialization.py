@@ -401,17 +401,6 @@ def test_verify_catches_a_hand_edit_after_load(nested_automaton, edit, message):
         verify_automaton(b)
 
 
-def test_to_json_refuses_an_output_off_the_label():
-    # written as a depth, the output at 1 would reload at 2, under label 2
-    from setmatch import PatternSet, Signature, Transition
-    a = build(PatternSet.from_text("f(_,a)\n", Signature((("f", 2), ("a", 0)))))
-    assert a.states[1].label == (2,)
-    a.states[1].delta["a"] = Transition(outputs=((0, (1,)),), targets=())
-    with pytest.raises(InvariantError, match=r"^state 1, symbol 'a': the output of "
-                       r"pattern 0 at 1 is not on the label 2$"):
-        to_json(a)
-
-
 def test_signature_symbols_missing_from_patterns_survive():
     ps_text = "f(a,_)\n"
     from setmatch import PatternSet, Signature
