@@ -1,12 +1,11 @@
 """Command line interface.
 
 Subcommands: ``compile`` a pattern file to an automaton, ``match`` a subject
-term against a compiled automaton, ``export-dot`` for Graphviz output,
-``bench`` for the state counts of a pattern family, and ``gen`` for
-reproducible random instances.  Exit codes: 0 on success, 1 when a
-requested verification fails, 2 on usage or input errors, with a one-line
-``error:`` message and no traceback for any error of this package or an
-input too large for memory.
+term against a compiled automaton, ``export-dot`` for Graphviz output, and
+``gen`` for reproducible random instances.  Exit codes: 0 on success, 1
+when a requested verification fails, 2 on usage or input errors, with a
+one-line ``error:`` message and no traceback for any error of this package
+or an input too large for memory.
 """
 
 import argparse
@@ -18,7 +17,7 @@ from .automaton import LEFTMOST, RIGHTMOST, build, transition_count, verify_auto
 from .dot import to_dot
 from .errors import InvariantError, SetMatchError
 from .evaluate import BreadthFirst, DepthFirst, evaluate
-from .oracle import brute_force_matches, comb_pattern_set, random_instance
+from .oracle import brute_force_matches, random_instance
 from .positions import format_position
 from .serialization import from_json, to_json
 from .terms import (PatternSet, format_term, parse_term, read_signature,
@@ -114,15 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output .dot path")
     p.set_defaults(handler=_cmd_export_dot)
 
-    p = sub.add_parser("bench", help="state counts of a pattern family")
-    p.add_argument("--family", choices=["tn"], required=True,
-                   help="pattern family to size up (tn: the comb family)")
-    p.add_argument("--n-max", type=_bounded(int, 1), default=8,
-                   help="largest family index (default: 8)")
-    p.add_argument("--label", choices=[LEFTMOST, RIGHTMOST],
-                   help="restrict the table to one strategy")
-    p.set_defaults(handler=_cmd_bench)
-
     p = sub.add_parser("gen", help="write a reproducible random instance to files")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--patterns", type=_bounded(int, 1), default=4)
@@ -188,15 +178,6 @@ def _cmd_export_dot(args) -> int:
     a = _load(args.automaton, from_json)
     Path(args.out).write_text(to_dot(a))
     print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    strategies = [args.label] if args.label else [RIGHTMOST, LEFTMOST]
-    print("n\t" + "\t".join(strategies))
-    for n in range(1, args.n_max + 1):
-        counts = [len(build(comb_pattern_set(n), s).states) for s in strategies]
-        print(f"{n}\t" + "\t".join(str(c) for c in counts))
     return 0
 
 

@@ -109,6 +109,8 @@ def test_choose_label_examples(nested_pattern_set):
     assert choose_label(goals, RIGHTMOST) == (2, 1)
     with pytest.raises(ValueError):
         choose_label(goals, "sideways")
+    with pytest.raises(ValueError, match="unknown label strategy 'sideways'"):
+        build(nested_pattern_set, "sideways")
     with pytest.raises(InvariantError):
         choose_label([fresh_goal(0, pat, (1,))], RIGHTMOST)
     # a fresh position stands for its family, a root family only at the root

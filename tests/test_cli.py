@@ -1,5 +1,6 @@
 """Command line behavior: flows, formats, and exit codes."""
 
+import dataclasses
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 import setmatch
-from setmatch import from_json
+from setmatch import evaluate, from_json
 from setmatch.cli import main
 
 from conftest import HANG_REPRODUCERS, run_limited
@@ -229,6 +230,24 @@ def test_match_verify_names_stdin(compiled, tmp_path, capsys, monkeypatch):
                "--verify"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("verification FAILED: stdin: state 1: ")
+
+
+def test_match_verify_reports_a_disagreement_with_brute_force(compiled, tmp_path,
+                                                            capsys, monkeypatch):
+    auto = compiled("rot", ROTATION, signature="f/2\na/0\n")
+    term = _write_term(tmp_path, "f(f(a, a), a)")  # one match, at the root
+
+    def drop_one(*args, **kwargs):
+        report = evaluate(*args, **kwargs)
+        return dataclasses.replace(report, matches=report.matches - {(0, ())})
+
+    monkeypatch.setattr("setmatch.cli.evaluate", drop_one)
+    capsys.readouterr()
+    rc = main(["match", "--automaton", str(auto), "--term", str(term), "--verify"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["verification FAILED: missing=[(0, ())] extra=[]"]
 
 
 def test_match_rejects_foreign_symbol(compiled, tmp_path, capsys):
@@ -529,23 +548,6 @@ def test_export_dot_rejects_garbage(tmp_path, capsys):
     assert rc == 2
 
 
-def test_bench_family_table(capsys):
-    assert main(["bench", "--family", "tn", "--n-max", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split("\t") == ["n", "rightmost", "leftmost"]
-    assert lines[1].split("\t") == ["1", "2", "2"]
-    assert lines[2].split("\t") == ["2", "4", "6"]
-    assert lines[3].split("\t") == ["3", "6", "12"]
-
-
-def test_bench_family_single_strategy(capsys):
-    assert main(["bench", "--family", "tn", "--n-max", "2",
-                 "--label", "leftmost"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split("\t") == ["n", "leftmost"]
-    assert lines[2].split("\t") == ["2", "6"]
-
-
 def test_gen_writes_reproducible_instance(tmp_path, capsys):
     rc = main(["gen", "--seed", "9", "--out-prefix", str(tmp_path / "one")])
     assert rc == 0
@@ -589,16 +591,13 @@ OUT_OF_RANGE = [
      "--wildcard-density: must be in [0, 1], got -0.5"),
     (["gen", "--wildcard-density", "nan"], "--wildcard-density: must be in [0, 1], got nan"),
     (["gen", "--wildcard-density", "inf"], "--wildcard-density: must be in [0, 1], got inf"),
-    (["bench", "--family", "tn", "--n-max", "-1"], "--n-max: must be at least 1, got -1"),
-    (["bench", "--family", "tn", "--n-max", "0"], "--n-max: must be at least 1, got 0"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", OUT_OF_RANGE,
                          ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE])
 def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, argv, message):
-    if argv[0] == "gen":
-        argv = [*argv, "--seed", "1", "--out-prefix", str(tmp_path / "inst")]
+    argv = [*argv, "--seed", "1", "--out-prefix", str(tmp_path / "inst")]
     with pytest.raises(SystemExit) as e:
         main(argv)
     assert e.value.code == 2
@@ -609,13 +608,11 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, argv, message):
     assert not list(tmp_path.iterdir())
 
 
-def test_flags_at_their_bounds_are_accepted(tmp_path, capsys):
+def test_flags_at_their_bounds_are_accepted(tmp_path):
     assert main(["gen", "--seed", "1", "--depth", "0", "--subject-size", "1",
                  "--wildcard-density", "1", "--out-prefix", str(tmp_path / "a")]) == 0
     assert main(["gen", "--seed", "1", "--wildcard-density", "0",
                  "--out-prefix", str(tmp_path / "b")]) == 0
-    assert main(["bench", "--family", "tn", "--n-max", "1"]) == 0
-    assert capsys.readouterr().out.endswith("n\trightmost\tleftmost\n1\t2\t2\n")
 
 
 def test_usage_errors_exit_with_2():
@@ -634,9 +631,11 @@ def test_usage_errors_exit_with_2():
 @pytest.mark.parametrize("argv", [
     ["match", "--automaton", "a", "--term", "t", "--strategy", "parallel"],
     ["match", "--automaton", "a", "--term", "t", "--workers", "4"],
+    # the bench command is gone with all its flags
+    ["bench"],
     ["bench", "--random"],
-    ["bench", "--n-max", "3"],  # --family is required
-], ids=["parallel", "workers", "random", "no-family"])
+    ["bench", "--n-max", "3"],
+], ids=["parallel", "workers", "bench", "random", "no-family"])
 def test_removed_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as e:
         main(argv)

@@ -386,12 +386,22 @@ def _flip_strategy(doc):
     doc["label_strategy"] = "leftmost"
 
 
+def _move_initial(doc):
+    doc["initial"] = 1
+
+
+def _add_state(doc):
+    doc["states"].append(doc["states"][-1])
+
+
 @pytest.mark.parametrize("edit, message", [
     (_relabel, "state 1: label 1 differs from the rebuilt 2"),
     (_swap_targets, "state 0, symbol 'f': "),
     (_drop_output, r"state \d+, symbol '\w+': Transition\(outputs=\(\)"),
     (_flip_strategy, "state 1: label 2 differs from the rebuilt 1"),
-], ids=["label", "target", "output", "strategy"])
+    (_move_initial, "initial state 1 differs from the rebuilt 0"),
+    (_add_state, "5 states differ from the rebuilt 4"),
+], ids=["label", "target", "output", "strategy", "initial", "state-count"])
 def test_verify_catches_a_hand_edit_after_load(nested_automaton, edit, message):
     doc = _doc(nested_automaton)
     verify_automaton(from_json(json.dumps(doc)))
