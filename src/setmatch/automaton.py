@@ -40,7 +40,7 @@ RIGHTMOST = "rightmost"
 _STRATEGIES = (LEFTMOST, RIGHTMOST)
 
 Announcement = tuple[int, int]       # (pattern id, depth into the state's label)
-TargetRef = tuple[int, Position]     # (state id, pointer shift)
+TargetRef = tuple[int, int, Position]  # (state id, depth into the state's label, tail)
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,12 @@ class Transition:
     """What observing one symbol at a state's label does.
 
     An output is a pattern id and a depth into the state's label: the match
-    lies at ``label[:depth]``, on the path its inspection walked.
+    lies at ``label[:depth]``, on the path its inspection walked.  A target
+    is a state id, a depth into the label and a tail: the successor's
+    pointer lies at the shift ``label[:depth] + tail``, and the depth is
+    the longest common prefix of the shift and the label (see
+    :func:`anchor`), so a run reaches it from the label's node at that
+    depth.  Targets sort by shift.
     """
 
     outputs: tuple[Announcement, ...]
@@ -84,6 +89,39 @@ class SetAutomaton:
     @property
     def signature(self) -> Signature:
         return self.patterns.signature
+
+
+def anchor(tid: int, shift: Position, label: Position) -> TargetRef:
+    """The target of state ``tid`` at pointer shift ``shift`` from a state
+    labelled ``label``: its depth is the longest common prefix of the two,
+    and its tail the rest of the shift."""
+    if not label or not shift or shift[0] != label[0]:
+        return tid, 0, shift
+    depth = len(label)
+    if shift[:depth] != label:
+        depth = 1
+        while depth < len(shift) and shift[depth] == label[depth]:
+            depth += 1
+    return tid, depth, shift[depth:]
+
+
+def depth_fault(sid: int, name: str, tr: Transition,
+                label: Position) -> InvariantError | None:
+    """The error for the first output or target of ``tr``, state ``sid``'s
+    transition on ``name``, whose depth lies outside ``label``; None if
+    there is none."""
+    inside = range(len(label) + 1)
+    for pid, depth in tr.outputs:
+        if type(depth) is not int or depth not in inside:
+            return InvariantError(
+                f"state {sid}, symbol '{name}': pattern {pid} is announced "
+                f"at depth {depth!r}, off the label {format_position(label)}")
+    for tid, depth, _ in tr.targets:
+        if type(depth) is not int or depth not in inside:
+            return InvariantError(
+                f"state {sid}, symbol '{name}': target state {tid} starts "
+                f"at depth {depth!r}, off the label {format_position(label)}")
+    return None
 
 
 def transition_count(a: SetAutomaton) -> int:
@@ -347,7 +385,7 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
                 entries = fixed + [(label + shift, key) for shift, key, _ in table]
             _order_targets(entries, patterns)
             state.delta[symbol.name] = Transition(tuple(sorted(completed)), tuple(
-                (intern(key), shift) for shift, key in entries))
+                anchor(intern(key), shift, label) for shift, key in entries))
     return SetAutomaton(patterns=ps, label_strategy=label_strategy, states=states)
 
 

@@ -36,9 +36,9 @@ def to_dot(a: SetAutomaton) -> str:
                 junction = f"j{sid}_{name}"
                 lines.append(f"  {junction} [shape=point];")
                 lines.append(f"  s{sid} -> {junction} [label={_q(label)}];")
-                for tid, shift in tr.targets:
-                    lines.append(
-                        f"  {junction} -> s{tid} [label={_q(format_position(shift))}];")
+                for tid, depth, tail in tr.targets:
+                    shift = format_position(st.label[:depth] + tail)
+                    lines.append(f"  {junction} -> s{tid} [label={_q(shift)}];")
             else:
                 lines.append(f"  s{sid} -> final [label={_q(label)}];")
     lines.append("}")

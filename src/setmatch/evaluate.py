@@ -18,10 +18,11 @@ changes nothing about the reported match set.
 
 A pointer is the preorder index of its subject node, so a work item is
 two ints.  The run records each announcement as a pattern id and a node
-index.  An output is a depth into its state's label, so its node is
-reached from the pointer's by the label's first steps, which the item's
-label walk has already checked; a depth outside the label raises
-``InvariantError``.
+index.  An item walks the subject once, down its label.  An output is a
+depth into the label, so its node is one the walk passed.  A target is a
+depth into the label and a tail, so it starts from the node the walk
+passed at that depth and walks only the tail.  A depth outside the label
+raises ``InvariantError``.
 Positions are made once, after the drain, by one walk down from the
 root over the nodes that a report, an instrumented run or an error
 shows: each gets one tuple, which every match there shares, so a run
@@ -33,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
 
-from .automaton import SetAutomaton
+from .automaton import SetAutomaton, depth_fault
 from .errors import InvariantError, SubjectError
 from .positions import Position, format_position
 from .terms import Term
@@ -203,73 +204,96 @@ def _drain(a, names, ends, work, fifo, pids, nodes, log, limit) -> int:
     end, each checked against the end of node ``k``'s subtree.  Appends
     each announcement's pattern id to ``pids`` and its node to ``nodes``
     and, when ``log`` is a list, one (state id, pointer node, inspected
-    node, fan-out) entry per item.  An output at depth 0 names the
-    pointer's node, one at the label's full depth the inspected node, and
-    one in between the label's node at its depth, from one more label walk
-    per item; a depth outside the label raises ``InvariantError``.
-    Returns the number of items processed; the caller holds that number to
-    the subject's node count.
+    node, fan-out) entry per item.
+
+    An item walks its label once.  A depth of 0 names the pointer's node
+    and the label's full depth the inspected node; a label of two steps or
+    more keeps the nodes it passes, by depth, for the depths in between.
+    An output names the node at its depth.  A target starts from the node
+    at its depth and walks only its tail.  The last tail step past a first
+    child is kept as a known child of its parent, and the next such step
+    below that parent, to a child at least as far right, goes on from
+    there: the targets of one transition sort by shift, so a node of arity
+    ``r`` whose children are all targets costs ``r`` skips, not ``r**2``.
+    A depth outside the label raises ``InvariantError``.  Returns the
+    number of items processed; the caller holds that number to the
+    subject's node count.
     """
     states = a.states
     pop = work.popleft if fifo else work.pop
     push = work.append
     add_pid, add_node = pids.append, nodes.append
+    up = j = kid = -1  # the last tail step past a first child: child j of up is kid
     done = 0
     while work and done < limit:
         sid, here = pop()
         state = states[sid]
         label = state.label
         node = here
-        for i in label:
-            end = ends[node]
-            node += 1
-            while i > 1 and node < end:
-                node = ends[node]
-                i -= 1
-            if i != 1 or node >= end:
-                raise _off_subject(ends, here, label)
+        top = 0
+        path = None  # the label's nodes by depth, for a label of two steps or more
+        if label:
+            top = len(label)
+            if top > 1:
+                path = [here]
+            for i in label:
+                end = ends[node]
+                node += 1
+                while i > 1 and node < end:
+                    node = ends[node]
+                    i -= 1
+                if i != 1 or node >= end:
+                    raise _off_subject(ends, here, label)
+                if path is not None:
+                    path.append(node)
         name = names[node]
         tr = state.delta.get(name)
         if tr is None:
             raise InvariantError(f"state {sid} has no transition for '{name}'")
         if log is not None:
             log.append((sid, here, node, len(tr.targets)))
-        path = None  # the label's nodes, walked when an output needs them
-        for pid, n in tr.outputs:
-            if not n:
-                k = here
-            elif n == len(label):
-                k = node
-            else:
-                if not 0 < n < len(label):
-                    raise InvariantError(
-                        f"state {sid}, symbol '{name}': pattern {pid} is announced "
-                        f"at depth {n}, off the label {format_position(label)}")
-                if path is None:
-                    path, k = [here], here
-                    for i in label[:-1]:
-                        k += 1
-                        while i > 1:
-                            k = ends[k]
-                            i -= 1
-                        path.append(k)
-                k = path[n]
-            add_pid(pid)
-            add_node(k)
-        for tid, shift in tr.targets:
-            if shift:
-                sub = here
-                for i in shift:
-                    end = ends[sub]
-                    sub += 1
-                    while i > 1 and sub < end:
-                        sub = ends[sub]
-                        i -= 1
-                    if i != 1 or sub >= end:
-                        raise _off_subject(ends, here, shift)
+        try:
+            for pid, n in tr.outputs:
+                if not n:
+                    add_node(here)
+                elif n == top:
+                    add_node(node)
+                elif n > 0:
+                    add_node(path[n])
+                else:
+                    raise depth_fault(sid, name, tr, label)
+                add_pid(pid)
+            for tid, n, tail in tr.targets:
+                if not n:
+                    sub = here
+                elif n == top:
+                    sub = node
+                elif n > 0:
+                    sub = path[n]
+                else:
+                    raise depth_fault(sid, name, tr, label)
+                if tail:
+                    for i in tail:
+                        end = ends[sub]
+                        if i == 1:
+                            sub += 1
+                            if sub >= end:
+                                raise _off_subject(ends, here, label[:n] + tail)
+                            continue
+                        if sub != up or i < j:
+                            up, j, kid = sub, 1, sub + 1
+                        while j < i and kid < end:
+                            kid = ends[kid]
+                            j += 1
+                        if j != i or kid >= end:
+                            raise _off_subject(ends, here, label[:n] + tail)
+                        sub = kid
                 push((tid, sub))
-            else:
-                push((tid, here))
+        except (IndexError, TypeError):  # a depth past the label, where no node was kept
+            error = depth_fault(sid, name, tr, label)
+            if error is None:
+                raise
+            raise error from None
         done += 1
     return done
 

@@ -7,12 +7,17 @@ signature symbol, in signature order.  An entry is ``[outputs, targets]``.
 Outputs are flat ``pattern, depth`` integer pairs, as
 ``Transition.outputs`` holds them: a depth names the position
 ``label[:depth]``, so every output lies on its state's label.  Targets
-are flat ``state, shift`` pairs.  A state's id is its index, and no
-object key repeats per state, transition, output or target.  Goal sets
-are the compiler's working data and are not stored, so a loaded state
-has ``goals=None``.  Because :func:`~setmatch.automaton.build` is
-deterministic, any automaton, loaded or built, is verified by rebuilding
-it from its patterns and label strategy and comparing the two
+are flat ``state, shift`` pairs.  In memory a target is a state, a depth
+and a tail (see :class:`~setmatch.automaton.Transition`): ``from_json``
+splits each shift at its longest common prefix with the state's label,
+and ``to_json`` writes ``label[:depth] + tail`` back, raising
+``InvariantError`` for a depth outside the label.  A state's id is its
+index, and no object key repeats per state, transition, output or
+target.  Goal sets are the compiler's working data and are not stored,
+so a loaded state has ``goals=None``.  Because
+:func:`~setmatch.automaton.build` is deterministic, any automaton,
+loaded or built, is verified by rebuilding it from its patterns and
+label strategy and comparing the two
 (:func:`~setmatch.automaton.verify_automaton`).
 
 The text is compact JSON, deterministic, with a stable key order.
@@ -28,7 +33,8 @@ order: outputs, then targets.
 
 import json
 
-from .automaton import LEFTMOST, RIGHTMOST, SetAutomaton, State, Transition
+from .automaton import (LEFTMOST, RIGHTMOST, SetAutomaton, State, Transition, anchor,
+                        depth_fault)
 from .errors import FormatError, ParseError, PatternSetError, SignatureError
 from .terms import PatternSet, Signature, parse_term
 
@@ -39,12 +45,19 @@ def to_json(a: SetAutomaton) -> str:
     """The document of ``a``."""
     names = [s.name for s in a.signature]
     states = []
-    for st in a.states:
-        row = [st.label]
+    for sid, st in enumerate(a.states):
+        label = st.label
+        row = [label]
         for name in names:
             tr = st.delta[name]
-            row.append(([x for output in tr.outputs for x in output],
-                        [x for target in tr.targets for x in target]))
+            targets = []
+            for tid, depth, tail in tr.targets:
+                if depth:
+                    if not 0 < depth <= len(label):
+                        raise depth_fault(sid, name, tr, label)
+                    tail = label[:depth] + tail
+                targets += tid, tail
+            row.append(([x for output in tr.outputs for x in output], targets))
         states.append(row)
     doc = {
         "version": SCHEMA_VERSION,
@@ -124,6 +137,8 @@ def from_json(text: str) -> SetAutomaton:
             _fail(f"must be an array of a label and {len(names)} row entries, "
                   "one per signature symbol", "states", i)
         label = _position(entry[0], width, None, "states", i, 0)
+        top = len(label)
+        first = label[0] if label else 0  # no step is 0
         delta = {}
         for k, name in enumerate(names, 1):
             pair = entry[k]
@@ -140,9 +155,9 @@ def from_json(text: str) -> SetAutomaton:
                 if type(pid) is not int or not 0 <= pid < n_patterns:
                     _fail(f"symbol '{name}': unknown pattern id {pid!r}",
                           "states", i, k, 0, j)
-                if type(depth) is not int or not 0 <= depth <= len(label):
+                if type(depth) is not int or not 0 <= depth <= top:
                     _fail(f"symbol '{name}': depth {depth!r} must be an integer from 0 "
-                          f"to {len(label)}, the length of the state's label",
+                          f"to {top}, the length of the state's label",
                           "states", i, k, 0, j + 1)
                 outs.append((pid, depth))
             if type(raw_tgts) is not list or len(raw_tgts) % 2:
@@ -154,8 +169,12 @@ def from_json(text: str) -> SetAutomaton:
                 if type(tid) is not int or not 0 <= tid < n_states:
                     _fail(f"symbol '{name}': unknown state id {tid!r}",
                           "states", i, k, 1, j)
-                tgts.append((tid, _position(raw_tgts[j + 1], width, name,
-                                            "states", i, k, 1, j + 1)))
+                shift = _position(raw_tgts[j + 1], width, name,
+                                  "states", i, k, 1, j + 1)
+                if shift and shift[0] == first:  # else depth 0, without a call
+                    tgts.append(anchor(tid, shift, label))
+                else:
+                    tgts.append((tid, 0, shift))
             delta[name] = Transition(outputs=tuple(outs), targets=tuple(tgts))
         states.append(State(label=label, goals=None, delta=delta))
 

@@ -18,6 +18,18 @@ positions = st.lists(st.integers(min_value=1, max_value=4),
 position_sets = st.frozensets(positions, min_size=1, max_size=6)
 
 
+def _positioned(state, tr):
+    """A transition's outputs as (pattern id, position) pairs, the form of
+    the reference :func:`~setmatch.automaton.outputs`."""
+    return tuple((pid, state.label[:depth]) for pid, depth in tr.outputs)
+
+
+def _shifted(state, tr):
+    """A transition's targets as (state id, pointer shift) pairs, the form
+    of the documents and of :func:`~setmatch.goals.lift_class`."""
+    return tuple((tid, state.label[:depth] + tail) for tid, depth, tail in tr.targets)
+
+
 def _fga() -> Signature:
     sig = Signature()
     sig.declare("f", 2)

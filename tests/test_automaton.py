@@ -26,7 +26,7 @@ from setmatch.goals import (Goal, Outcome, canonical_goals,
 from setmatch.oracle import profile_signature, random_pattern_set
 from setmatch.positions import prefix_leq
 
-from conftest import pattern_sets
+from conftest import _positioned, _shifted, pattern_sets
 
 
 def initial_goals(ps):
@@ -48,12 +48,6 @@ def _goal(sig, pairs, pattern, announce):
 def _state_map(a):
     """goal-set -> (state id, state); lets tests compare up to renaming."""
     return {frozenset(s.goals): (i, s) for i, s in enumerate(a.states)}
-
-
-def _positioned(state, tr):
-    """A transition's outputs as (pattern id, position) pairs, the form of
-    the reference :func:`outputs`."""
-    return tuple((pid, state.label[:depth]) for pid, depth in tr.outputs)
 
 
 def _expected_nested_states(sig):
@@ -214,7 +208,7 @@ def test_build_nested_pattern_matches_hand_derivation(sig_fga,
     for (sid, name), (outs, targets) in expected_delta.items():
         tr = a.states[sid].delta[name]
         assert tr.outputs == outs, (sid, name)
-        assert set(tr.targets) == targets, (sid, name)
+        assert set(_shifted(a.states[sid], tr)) == targets, (sid, name)
     assert transition_count(a) == 14
 
 
@@ -237,13 +231,16 @@ def test_build_rotation_patterns_matches_hand_derivation(assoc_pattern_set,
     i0, i1, i2 = (by_goals[s][0] for s in (s0, s1, s2))
     assert (a.states[i1].label, a.states[i2].label) == ((1,), (2,))
 
-    assert set(a.states[i0].delta["f"].targets) == {(i1, ()), (i2, ())}
+    def shifted(sid, name):
+        return set(_shifted(a.states[sid], a.states[sid].delta[name]))
+
+    assert shifted(i0, "f") == {(i1, ()), (i2, ())}
     assert a.states[i0].delta["f"].outputs == ()
     assert a.states[i0].delta["a"].targets == ()
     assert a.states[i1].delta["f"].outputs == ((0, 0),)
-    assert set(a.states[i1].delta["f"].targets) == {(i1, (1,)), (i2, (1,))}
+    assert shifted(i1, "f") == {(i1, (1,)), (i2, (1,))}
     assert a.states[i2].delta["f"].outputs == ((1, 0),)
-    assert set(a.states[i2].delta["f"].targets) == {(i1, (2,)), (i2, (2,))}
+    assert shifted(i2, "f") == {(i1, (2,)), (i2, (2,))}
 
 
 def test_build_single_constant_pattern():
@@ -257,7 +254,8 @@ def test_build_single_constant_pattern():
 def test_two_targets_can_share_a_shift():
     ps = PatternSet.from_text("f(a,_)\nf(_,b)\n")
     a = build(ps)
-    shifts = [shift for _, shift in a.states[a.initial].delta["f"].targets]
+    initial = a.states[a.initial]
+    shifts = [shift for _, shift in _shifted(initial, initial.delta["f"])]
     assert shifts == [(), ()]
     subject = parse_term("f(a,b)", ps.signature)
     assert evaluate(a, subject).matches == {(0, ()), (1, ())}
@@ -327,7 +325,7 @@ def _structure_digest(a):
     taken in."""
     h = hashlib.sha256(repr(a.initial).encode())
     for st in a.states:
-        h.update(repr((st.label, [(name, _positioned(st, tr), tr.targets)
+        h.update(repr((st.label, [(name, _positioned(st, tr), _shifted(st, tr))
                                   for name, tr in st.delta.items()])).encode())
     return h.hexdigest()
 
@@ -457,8 +455,14 @@ def _check_compact_step(ps):
                     want[frozenset(lifted), shift] += 1
                 tr = state.delta[symbol.name]
                 got = Counter((frozenset(a.states[tid].goals), shift)
-                              for tid, shift in tr.targets)
+                              for tid, shift in _shifted(state, tr))
                 assert got == want
+                # each target's depth is the longest common prefix of its
+                # shift and the label
+                label = state.label
+                for _, depth, tail in tr.targets:
+                    assert 0 <= depth <= len(label)
+                    assert not tail or depth == len(label) or tail[0] != label[depth]
                 assert _positioned(state, tr) == outputs(state, symbol)
 
 
@@ -533,7 +537,7 @@ def test_verify_compares_a_built_automaton_with_its_rebuild(nested_pattern_set):
     a = build(nested_pattern_set)
     tr = a.states[0].delta["f"]
     a.states[0].delta["f"] = Transition(tr.outputs, tuple(
-        ((tid + 1) % len(a.states), shift) for tid, shift in tr.targets))
+        ((tid + 1) % len(a.states), depth, tail) for tid, depth, tail in tr.targets))
     with pytest.raises(InvariantError, match="state 0, symbol 'f'"):
         verify_automaton(a)
 
@@ -620,7 +624,7 @@ def test_goal_view_is_the_goal_by_goal_construction(request, name, strategy):
                            for lifted, shift in map(lift_class, classes)),
                           key=lambda e: (e[0], [goal_sort_key(g) for g in e[1]]))
             got = [(shift, a.states[tid].goals)
-                   for tid, shift in state.delta[symbol.name].targets]
+                   for tid, shift in _shifted(state, state.delta[symbol.name])]
             assert got == want
 
 
@@ -634,7 +638,7 @@ def test_build_sorts_goal_sets_only_for_shared_shift_ties(request, monkeypatch):
             calls.clear()
             a = build(_pinned_pattern_set(request, name), strategy)
             ties = sum(len(tr.targets) for st in a.states for tr in st.delta.values()
-                       if len({shift for _, shift in tr.targets}) < len(tr.targets))
+                       if len({shift for _, shift in _shifted(st, tr)}) < len(tr.targets))
             assert len(calls) == ties
             total_ties += ties
             # the goal view sorts once per state, on its first read
@@ -745,7 +749,7 @@ def test_a_survivor_merges_an_away_class_with_a_table_class(sig_fga, monkeypatch
     assert kept == frozenset({()})
     assert lifts == 1
     # one merged target, the state itself one level down, and the class at 2
-    assert state.delta["f"].targets == ((sid, (1,)), (a.initial, (2,)))
+    assert _shifted(state, state.delta["f"]) == ((sid, (1,)), (a.initial, (2,)))
     # the survivor, the away family at 1.2 and the table's families under
     # 1.1, all lifted by 1
     assert _goal(sig_fga, [("a", (1, 1)), ("a", (1, 2)), ("g(a)", (2,))], 0, ()) \

@@ -1,6 +1,6 @@
 """Graphviz export: deterministic text, output labels, sink handling."""
 
-from setmatch import RIGHTMOST, PatternSet, build, to_dot
+from setmatch import RIGHTMOST, PatternSet, Signature, build, to_dot
 
 
 def test_dot_is_deterministic(nested_automaton):
@@ -50,3 +50,14 @@ def test_dot_shows_an_announcement_in_the_middle_of_the_label():
     a = build(PatternSet.from_text("f(_,g(a))\ng(a)\n"), RIGHTMOST)
     assert '  s3 -> final [label="a\\nf(_,g(a))@ε\\ng(a)@2"];' \
         in to_dot(a).splitlines()
+
+
+def test_dot_writes_each_target_as_its_whole_shift():
+    # under label 2, f(_,a) keeps its target to state 0 as depth 1 and
+    # tail 1; the edge shows the shift from the pointer, 2.1
+    a = build(PatternSet.from_text("f(_, a)\n", Signature((("f", 2), ("a", 0)))))
+    assert a.states[1].label == (2,)
+    assert a.states[1].delta["f"].targets[1] == (0, 1, (1,))
+    lines = to_dot(a).splitlines()
+    assert '  j1_f -> s0 [label="2.1"];' in lines
+    assert '  j1_f -> s1 [label="2"];' in lines

@@ -12,12 +12,13 @@ from setmatch import (LEFTMOST, RIGHTMOST, BreadthFirst, DepthFirst,
                       InvariantError, Parallel, PatternSet, Signature,
                       SubjectError, Term, build, brute_force_matches,
                       comb_pattern, domain, evaluate, evaluation_tree,
-                      format_term, matches, parse_term, subterm_at, tree_nodes)
+                      format_position, format_term, matches, parse_term,
+                      subterm_at, tree_nodes)
 from setmatch.automaton import Transition
 from setmatch.evaluate import MAX_WORKERS
 from setmatch.oracle import random_subject
 
-from conftest import HANG_REPRODUCERS, run_limited, subject_terms
+from conftest import HANG_REPRODUCERS, _shifted, run_limited, subject_terms
 
 ALL_STRATEGIES = (DepthFirst(), BreadthFirst(), Parallel(2), Parallel(4))
 
@@ -226,7 +227,7 @@ def test_shift_outside_subject_fails_loudly(assoc_pattern_set, assoc_subject):
     delta = a.states[a.initial].delta
     tr = delta["f"]
     assert tr.targets
-    delta["f"] = Transition(tr.outputs, tuple((tid, (2, 1)) for tid, _ in tr.targets))
+    delta["f"] = Transition(tr.outputs, tuple((tid, 0, (2, 1)) for tid, _, _ in tr.targets))
     for strategy in ALL_STRATEGIES:
         with pytest.raises(InvariantError, match=r"no subject node at 2\.1;"):
             evaluate(a, assoc_subject, strategy)
@@ -236,13 +237,65 @@ def test_shift_outside_subject_fails_loudly(assoc_pattern_set, assoc_subject):
     a = build(_combs(sig))
     for state in a.states:
         tr = state.delta["c"]
-        state.delta["c"] = Transition(tr.outputs, ((a.initial, state.label + (1,)),))
+        state.delta["c"] = Transition(tr.outputs, ((a.initial, len(state.label), (1,)),))
     depth = 72
     t = _spine(sig, depth, True, random.Random(3), bottom="c")
+    assert any(state.label for state in a.states)  # so some tails start below the pointer
     at = r"\.".join("1" * (depth + 1))
     for strategy in ALL_STRATEGIES:
         with pytest.raises(InvariantError, match=rf"no subject node at {at};"):
             evaluate(a, t, strategy)
+
+
+def test_a_tail_off_the_subject_names_the_whole_shift(assoc_pattern_set, assoc_subject):
+    # state 1, under label 1, sends its target on f to the shift 1.3: a
+    # tail 3 after the label's node, which is binary, so the message names
+    # pointer 1 + 1.3 as a shift walked from the pointer would
+    a = build(assoc_pattern_set)
+    (sid,) = [sid for sid, state in enumerate(a.states) if state.label == (1,)]
+    state = a.states[sid]
+    tr = state.delta["f"]
+    state.delta["f"] = Transition(tr.outputs, ((a.initial, 1, (3,)),))
+    subject = parse_term("f(f(f(a,a),a),a)", a.signature)
+    for strategy in ALL_STRATEGIES:
+        with pytest.raises(InvariantError, match=r"^no subject node at 1\.3;"):
+            evaluate(a, subject, strategy)
+
+
+def test_a_target_off_the_label_raises_only_a_setmatch_error():
+    # an automaton edited in Python whose targets start at a depth below the
+    # label, past its end, or past the end of an empty label: the run raises
+    # InvariantError naming the state, the symbol and the depth when it takes
+    # that transition, under every strategy, and never IndexError or TypeError
+    sig = Signature((("f", 2), ("g", 1), ("a", 0)))
+    flat = PatternSet.from_text("f(_,a)\n", sig)  # state 0 under ε, 1 under 2
+    deep = PatternSet.from_text("f(_,g(a))\ng(a)\n", sig)  # state 3 under 2.1
+    for ps, text, sid, name, depth in (
+            (flat, "f(a,f(a,a))", 1, "a", -1), (flat, "f(a,f(a,a))", 1, "a", 2),
+            (flat, "f(a,f(a,a))", 1, "f", -1), (flat, "f(a,f(a,a))", 1, "f", 2),
+            (flat, "f(a,f(a,a))", 0, "f", 1), (flat, "f(a,f(a,a))", 0, "a", -1),
+            (deep, "f(a,g(a))", 3, "a", -1), (deep, "f(a,g(a))", 3, "a", 3)):
+        a = build(ps)
+        subject = parse_term(text, sig)
+        state = a.states[sid]
+        tr = state.delta[name]
+        state.delta[name] = Transition(tr.outputs, ((0, depth, ()),) + tr.targets)
+        message = (rf"^state {sid}, symbol '{name}': target state 0 starts at "
+                   rf"depth {depth}, off the label {format_position(state.label)}$")
+        for strategy in ALL_STRATEGIES:
+            for instrument in (False, True):
+                with pytest.raises(InvariantError, match=message):
+                    evaluate(a, subject, strategy, instrument=instrument)
+        with pytest.raises(InvariantError, match=message):
+            evaluation_tree(a, subject)
+    # an output below a label of two steps, whose nodes the run keeps
+    a = build(deep)
+    tr = a.states[3].delta["a"]
+    a.states[3].delta["a"] = Transition(((0, -1),) + tr.outputs, tr.targets)
+    message = r"^state 3, symbol 'a': pattern 0 is announced at depth -1, off the label 2\.1$"
+    for strategy in ALL_STRATEGIES:
+        with pytest.raises(InvariantError, match=message):
+            evaluate(a, parse_term("f(a,g(a))", sig), strategy)
 
 
 def test_an_output_off_the_label_raises_only_a_setmatch_error():
@@ -423,6 +476,28 @@ def test_bound_is_the_node_count(name, tmp_path):
     assert r.stdout.splitlines() == [f"{size} True {error}"] * 8
 
 
+# Matches g(a) on h(g(a),...,g(a)) with 40,000 arguments, whose root's
+# transition has the 40,000 targets 1 to 40,000.
+WIDE_NODE = """
+from setmatch import PatternSet, Signature, build, evaluate, parse_term
+r = 40000
+sig = Signature((("h", r), ("g", 1), ("a", 0)))
+a = build(PatternSet.from_text("g(a)\\n", sig))
+report = evaluate(a, parse_term("h(" + ",".join(["g(a)"] * r) + ")", sig))
+print(len(report.matches), report.node_count)
+"""
+
+
+def test_the_targets_of_one_transition_take_one_sibling_walk(tmp_path):
+    # the children of a node are reached in one walk over its arguments,
+    # not one walk from the first child per target: the run takes well
+    # under a second, where restarting at the first child, r**2 / 2 skips,
+    # took tens of seconds
+    r = run_limited(["-c", WIDE_NODE], tmp_path, timeout=10)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["40000", "80001"]
+
+
 def _phi(a, node):
     return node.pointer + a.states[node.state].label
 
@@ -442,9 +517,10 @@ def test_tree_edges_follow_transitions(nested_automaton, subject):
     # every node's children are its transition's targets, in target order
     for node in tree_nodes(evaluation_tree(nested_automaton, subject)):
         symbol = subterm_at(subject, _phi(nested_automaton, node)).symbol
-        tr = nested_automaton.states[node.state].delta[symbol.name]
+        state = nested_automaton.states[node.state]
+        tr = state.delta[symbol.name]
         assert [(c.state, c.pointer) for c in node.children] \
-            == [(tid, node.pointer + shift) for tid, shift in tr.targets]
+            == [(tid, node.pointer + shift) for tid, shift in _shifted(state, tr)]
 
 
 def test_tree_of_single_constant():

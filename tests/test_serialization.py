@@ -41,6 +41,37 @@ def test_round_trip_without_goals_still_evaluates(nested_automaton, sig_fga,
         == evaluate(nested_automaton, nested_subject).matches
 
 
+def test_a_document_keeps_shifts_and_memory_keeps_depth_and_tail():
+    # f(_,a): state 1, under label 2, has on f the shifts 2 and 2.1, held as
+    # depth 1 with the tails () and 1; a shift is split at its longest
+    # common prefix with the label however it was written
+    from setmatch import PatternSet, Signature
+    a = build(PatternSet.from_text("f(_, a)\n", Signature((("f", 2), ("a", 0)))))
+    doc = json.loads(to_json(a))
+    assert doc["states"][1][1] == [[], [1, [2], 0, [2, 1]]]
+    assert from_json(json.dumps(doc)).states[1].delta["f"].targets \
+        == ((1, 1, ()), (0, 1, (1,)))
+    doc["states"][1][1][1] = [0, [], 0, [1, 2], 0, [2, 2, 1], 1, [2]]
+    b = from_json(json.dumps(doc))
+    assert b.states[1].delta["f"].targets \
+        == ((0, 0, ()), (0, 0, (1, 2)), (0, 1, (2, 1)), (1, 1, ()))
+    assert json.loads(to_json(b)) == doc
+
+
+@pytest.mark.parametrize("depth", [-1, 2])
+def test_to_json_rejects_a_target_off_the_label(depth):
+    # an automaton edited in Python whose state under label 2 starts a
+    # target below the label or past its end is not written as another
+    # document
+    from setmatch import PatternSet, Signature, Transition
+    a = build(PatternSet.from_text("f(_, a)\n", Signature((("f", 2), ("a", 0)))))
+    tr = a.states[1].delta["f"]
+    a.states[1].delta["f"] = Transition(tr.outputs, ((0, depth, (1,)),))
+    with pytest.raises(InvariantError, match=rf"^state 1, symbol 'f': target state 0 "
+                                             rf"starts at depth {depth}, off the label 2$"):
+        to_json(a)
+
+
 def _reload_exactly(a):
     """Load ``a``'s document, verify it, and rebuild it.
 
