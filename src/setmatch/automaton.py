@@ -53,7 +53,8 @@ class Transition:
     pointer lies at the shift ``label[:depth] + tail``, and the depth is
     the longest common prefix of the shift and the label (see
     :func:`anchor`), so a run reaches it from the label's node at that
-    depth.  Targets sort by shift.
+    depth.  :func:`checked_shifts` turns the targets back into shifts and
+    checks every depth against the label.  Targets sort by shift.
     """
 
     outputs: tuple[Announcement, ...]
@@ -105,23 +106,26 @@ def anchor(tid: int, shift: Position, label: Position) -> TargetRef:
     return tid, depth, shift[depth:]
 
 
-def depth_fault(sid: int, name: str, tr: Transition,
-                label: Position) -> InvariantError | None:
-    """The error for the first output or target of ``tr``, state ``sid``'s
-    transition on ``name``, whose depth lies outside ``label``; None if
-    there is none."""
-    inside = range(len(label) + 1)
+def checked_shifts(sid: int, name: str, tr: Transition, label: Position) -> list:
+    """The targets of ``tr``, state ``sid``'s transition on ``name``, as a
+    flat ``state, shift`` list, each shift ``label[:depth] + tail``: the
+    inverse of :func:`anchor`.  Raise InvariantError for the first output,
+    then the first target, whose depth lies off ``label``; the error
+    replaces whatever a caller was handling."""
+    top = len(label)
     for pid, depth in tr.outputs:
-        if type(depth) is not int or depth not in inside:
-            return InvariantError(
+        if type(depth) is not int or not 0 <= depth <= top:
+            raise InvariantError(
                 f"state {sid}, symbol '{name}': pattern {pid} is announced "
-                f"at depth {depth!r}, off the label {format_position(label)}")
-    for tid, depth, _ in tr.targets:
-        if type(depth) is not int or depth not in inside:
-            return InvariantError(
+                f"at depth {depth!r}, off the label {format_position(label)}") from None
+    flat = []
+    for tid, depth, tail in tr.targets:
+        if type(depth) is not int or not 0 <= depth <= top:
+            raise InvariantError(
                 f"state {sid}, symbol '{name}': target state {tid} starts "
-                f"at depth {depth!r}, off the label {format_position(label)}")
-    return None
+                f"at depth {depth!r}, off the label {format_position(label)}") from None
+        flat += tid, (label[:depth] + tail if depth else tail)
+    return flat
 
 
 def transition_count(a: SetAutomaton) -> int:
@@ -342,8 +346,6 @@ def build(ps: PatternSet, label_strategy: str = RIGHTMOST) -> SetAutomaton:
     declaration order and successor classes in the canonical order of their
     goal sets, so rebuilding yields an identical automaton.
     """
-    if label_strategy not in _STRATEGIES:
-        raise ValueError(f"unknown label strategy {label_strategy!r}")
     sig = ps.signature
     patterns = ps.patterns
     roots = [fresh_goal(pid, pat, ()) for pid, pat in enumerate(patterns)]

@@ -6,7 +6,7 @@ matches, followed by one shift-labelled arrow per successor.  Transitions
 with no successors lead to a shared sink.  Output is deterministic.
 """
 
-from .automaton import SetAutomaton
+from .automaton import SetAutomaton, checked_shifts
 from .positions import format_position
 
 
@@ -29,6 +29,7 @@ def to_dot(a: SetAutomaton) -> str:
         lines.append('  final [shape=doublecircle, label="∅"];')
     for sid, st in enumerate(a.states):
         for name, tr in st.delta.items():
+            targets = iter(checked_shifts(sid, name, tr, st.label))
             label = name
             for pid, depth in tr.outputs:
                 label += f"\n{texts[pid]}@{format_position(st.label[:depth])}"
@@ -36,9 +37,9 @@ def to_dot(a: SetAutomaton) -> str:
                 junction = f"j{sid}_{name}"
                 lines.append(f"  {junction} [shape=point];")
                 lines.append(f"  s{sid} -> {junction} [label={_q(label)}];")
-                for tid, depth, tail in tr.targets:
-                    shift = format_position(st.label[:depth] + tail)
-                    lines.append(f"  {junction} -> s{tid} [label={_q(shift)}];")
+                for tid, shift in zip(targets, targets):
+                    lines.append(f"  {junction} -> s{tid} "
+                                 f"[label={_q(format_position(shift))}];")
             else:
                 lines.append(f"  s{sid} -> final [label={_q(label)}];")
     lines.append("}")

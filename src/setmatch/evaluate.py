@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
 
-from .automaton import SetAutomaton, depth_fault
+from .automaton import SetAutomaton, checked_shifts
 from .errors import InvariantError, SubjectError
 from .positions import Position, format_position
 from .terms import Term
@@ -261,7 +261,7 @@ def _drain(a, names, ends, work, fifo, pids, nodes, log, limit) -> int:
                 elif n > 0:
                     add_node(path[n])
                 else:
-                    raise depth_fault(sid, name, tr, label)
+                    checked_shifts(sid, name, tr, label)  # raises for n < 0
                 add_pid(pid)
             for tid, n, tail in tr.targets:
                 if not n:
@@ -271,7 +271,7 @@ def _drain(a, names, ends, work, fifo, pids, nodes, log, limit) -> int:
                 elif n > 0:
                     sub = path[n]
                 else:
-                    raise depth_fault(sid, name, tr, label)
+                    checked_shifts(sid, name, tr, label)  # raises for n < 0
                 if tail:
                     for i in tail:
                         end = ends[sub]
@@ -290,10 +290,8 @@ def _drain(a, names, ends, work, fifo, pids, nodes, log, limit) -> int:
                         sub = kid
                 push((tid, sub))
         except (IndexError, TypeError):  # a depth past the label, where no node was kept
-            error = depth_fault(sid, name, tr, label)
-            if error is None:
-                raise
-            raise error from None
+            checked_shifts(sid, name, tr, label)
+            raise
         done += 1
     return done
 

@@ -9,12 +9,13 @@ Outputs are flat ``pattern, depth`` integer pairs, as
 ``label[:depth]``, so every output lies on its state's label.  Targets
 are flat ``state, shift`` pairs.  In memory a target is a state, a depth
 and a tail (see :class:`~setmatch.automaton.Transition`): ``from_json``
-splits each shift at its longest common prefix with the state's label,
-and ``to_json`` writes ``label[:depth] + tail`` back, raising
-``InvariantError`` for a depth outside the label.  A state's id is its
-index, and no object key repeats per state, transition, output or
-target.  Goal sets are the compiler's working data and are not stored,
-so a loaded state has ``goals=None``.  Because
+splits each shift at its longest common prefix with the state's label
+(:func:`~setmatch.automaton.anchor`), and ``to_json`` writes back the
+shifts of :func:`~setmatch.automaton.checked_shifts`, which raises
+``InvariantError`` for an output or target depth outside the label.  A
+state's id is its index, and no object key repeats per state,
+transition, output or target.  Goal sets are the compiler's working data
+and are not stored, so a loaded state has ``goals=None``.  Because
 :func:`~setmatch.automaton.build` is deterministic, any automaton,
 loaded or built, is verified by rebuilding it from its patterns and
 label strategy and comparing the two
@@ -34,7 +35,7 @@ order: outputs, then targets.
 import json
 
 from .automaton import (LEFTMOST, RIGHTMOST, SetAutomaton, State, Transition, anchor,
-                        depth_fault)
+                        checked_shifts)
 from .errors import FormatError, ParseError, PatternSetError, SignatureError
 from .terms import PatternSet, Signature, parse_term
 
@@ -50,14 +51,8 @@ def to_json(a: SetAutomaton) -> str:
         row = [label]
         for name in names:
             tr = st.delta[name]
-            targets = []
-            for tid, depth, tail in tr.targets:
-                if depth:
-                    if not 0 < depth <= len(label):
-                        raise depth_fault(sid, name, tr, label)
-                    tail = label[:depth] + tail
-                targets += tid, tail
-            row.append(([x for output in tr.outputs for x in output], targets))
+            row.append(([x for output in tr.outputs for x in output],
+                        checked_shifts(sid, name, tr, label)))
         states.append(row)
     doc = {
         "version": SCHEMA_VERSION,

@@ -30,6 +30,33 @@ def _shifted(state, tr):
     return tuple((tid, state.label[:depth] + tail) for tid, depth, tail in tr.targets)
 
 
+def _off_label(depth, output: bool):
+    """``f(_, a)`` edited in Python: state 1, under label 2, sends its
+    target on ``f`` from ``depth`` or, with ``output``, announces its output
+    on ``a`` at ``depth``.  Returns the automaton and the pattern of the
+    error that every reader of a transition raises for a depth off the
+    label."""
+    from setmatch import Transition
+    a = build(PatternSet.from_text("f(_, a)\n", Signature((("f", 2), ("a", 0)))))
+    name = "a" if output else "f"
+    tr = a.states[1].delta[name]
+    if output:
+        a.states[1].delta[name] = Transition(((0, depth),), tr.targets)
+        fault = f"pattern 0 is announced at depth {depth}"
+    else:
+        a.states[1].delta[name] = Transition(tr.outputs, ((0, depth, (1,)),))
+        fault = f"target state 0 starts at depth {depth}"
+    return a, rf"^state 1, symbol '{name}': {fault}, off the label 2$"
+
+
+# a float depth is off the label too: it is no index, and the document
+# holds integers only
+OFF_LABEL = pytest.mark.parametrize(
+    "depth, output", [(-1, False), (2, False), (1.0, False),
+                      (-1, True), (2, True), (1.0, True)],
+    ids=["-1", "2", "1.0", "output-1", "output2", "output1.0"])
+
+
 def _fga() -> Signature:
     sig = Signature()
     sig.declare("f", 2)

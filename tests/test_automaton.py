@@ -561,6 +561,39 @@ def test_verify_rejects_dropped_fresh_goal(nested_pattern_set, monkeypatch):
         verify_automaton(a)
 
 
+def _drop_root_goals(s, pat):
+    s.goals = tuple(g for g in s.goals if not g.is_root)
+
+
+def _relabel(s, pat):
+    s.label = (9,)
+
+
+def _add_fresh_past_bound(s, pat):
+    s.goals = canonical_goals([*s.goals, fresh_goal(0, pat, (3,))])
+
+
+def _add_goal_off_its_announcement(s, pat):
+    s.goals = canonical_goals([*s.goals, Goal(frozenset({(pat, (2,))}), 0, (1,))])
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_drop_root_goals, "state 1: no root goal"),
+    (_relabel, "state 1: label 9 not an obligation position of any root goal"),
+    (_add_fresh_past_bound, "state 1: obligation position 3 outside the reachable bound"),
+    (_add_goal_off_its_announcement,
+     "state 1: obligation at 2 does not extend its announcement 1"),
+], ids=["root", "label", "bound", "announcement"])
+def test_verify_names_each_broken_rule_of_the_rebuild(nested_pattern_set, monkeypatch,
+                                                     tamper, message):
+    a = from_json(to_json(build(nested_pattern_set)))
+    pat = nested_pattern_set[0]
+    _tamper_rebuild(monkeypatch, lambda s: tamper(s, pat))
+    with pytest.raises(InvariantError) as e:
+        verify_automaton(a)
+    assert str(e.value) == message
+
+
 def test_verify_names_comparable_positions_of_the_rebuild(nested_pattern_set,
                                                           monkeypatch):
     a = from_json(to_json(build(nested_pattern_set)))

@@ -1,6 +1,10 @@
 """Graphviz export: deterministic text, output labels, sink handling."""
 
-from setmatch import RIGHTMOST, PatternSet, Signature, build, to_dot
+import pytest
+
+from setmatch import RIGHTMOST, InvariantError, PatternSet, Signature, build, to_dot
+
+from conftest import OFF_LABEL, _off_label
 
 
 def test_dot_is_deterministic(nested_automaton):
@@ -61,3 +65,13 @@ def test_dot_writes_each_target_as_its_whole_shift():
     lines = to_dot(a).splitlines()
     assert '  j1_f -> s0 [label="2.1"];' in lines
     assert '  j1_f -> s1 [label="2"];' in lines
+
+
+@OFF_LABEL
+def test_dot_rejects_a_depth_off_the_label(depth, output):
+    # an automaton edited in Python whose state under label 2 starts a
+    # target, or announces an output, below the label, past its end or at
+    # a float depth is not drawn at some other position
+    a, message = _off_label(depth, output)
+    with pytest.raises(InvariantError, match=message):
+        to_dot(a)

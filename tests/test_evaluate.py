@@ -216,9 +216,25 @@ def test_symbol_of_another_arity_is_rejected(nested_automaton):
 
 def test_label_outside_subject_fails_loudly():
     a = build(PatternSet.from_text("a\n"))
-    a.states[0].label = (3,)
-    with pytest.raises(InvariantError, match="no subject node at 3;"):
-        evaluate(a, parse_term("a", a.signature))
+    for label, at in (((3,), "3"), ((1,), "1")):  # a leaf has no child 1 either
+        a.states[0].label = label
+        with pytest.raises(InvariantError, match=rf"^no subject node at {at};"):
+            evaluate(a, parse_term("a", a.signature))
+    # the walk to child 2 of a unary node ends exactly at the end of its subtree
+    sig = Signature((("f", 2), ("g", 1), ("a", 0)))
+    a = build(PatternSet.from_text("g(a)\n", sig))
+    a.states[0].label = (2,)
+    with pytest.raises(InvariantError, match=r"^no subject node at 2;"):
+        evaluate(a, parse_term("g(a)", sig))
+
+
+def test_a_symbol_without_a_transition_fails_loudly():
+    sig = Signature((("f", 2), ("a", 0)))
+    a = build(PatternSet.from_text("f(_,a)\n", sig))
+    del a.states[0].delta["a"]
+    for strategy in ALL_STRATEGIES:
+        with pytest.raises(InvariantError, match=r"^state 0 has no transition for 'a'$"):
+            evaluate(a, parse_term("f(a,a)", sig), strategy)
 
 
 def test_shift_outside_subject_fails_loudly(assoc_pattern_set, assoc_subject):
@@ -231,6 +247,14 @@ def test_shift_outside_subject_fails_loudly(assoc_pattern_set, assoc_subject):
     for strategy in ALL_STRATEGIES:
         with pytest.raises(InvariantError, match=r"no subject node at 2\.1;"):
             evaluate(a, assoc_subject, strategy)
+    # a tail step two past the last child of the subject's last node
+    sig = Signature((("f", 2), ("a", 0)))
+    a = build(PatternSet.from_text("f(_,a)\n", sig))
+    tr = a.states[0].delta["f"]
+    a.states[0].delta["f"] = Transition(tr.outputs, ((0, 0, (4,)),))
+    for strategy in ALL_STRATEGIES:
+        with pytest.raises(InvariantError, match=r"^no subject node at 4;"):
+            evaluate(a, parse_term("f(a,a)", sig), strategy)
     # 72 deep: the one item that inspects the comb's bottom leaf c is sent
     # one level below it, and the message names that deep position
     sig = Signature(COMB_SYMBOLS + (("c", 0),))

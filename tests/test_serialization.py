@@ -16,6 +16,8 @@ from setmatch import (LEFTMOST, RIGHTMOST, FormatError, InvariantError, build,
                       verify_automaton)
 from setmatch.serialization import SCHEMA_VERSION
 
+from conftest import OFF_LABEL, _off_label
+
 
 def test_round_trip_is_byte_identical(nested_automaton):
     text = to_json(nested_automaton)
@@ -58,17 +60,13 @@ def test_a_document_keeps_shifts_and_memory_keeps_depth_and_tail():
     assert json.loads(to_json(b)) == doc
 
 
-@pytest.mark.parametrize("depth", [-1, 2])
-def test_to_json_rejects_a_target_off_the_label(depth):
+@OFF_LABEL
+def test_to_json_rejects_a_target_off_the_label(depth, output):
     # an automaton edited in Python whose state under label 2 starts a
-    # target below the label or past its end is not written as another
-    # document
-    from setmatch import PatternSet, Signature, Transition
-    a = build(PatternSet.from_text("f(_, a)\n", Signature((("f", 2), ("a", 0)))))
-    tr = a.states[1].delta["f"]
-    a.states[1].delta["f"] = Transition(tr.outputs, ((0, depth, (1,)),))
-    with pytest.raises(InvariantError, match=rf"^state 1, symbol 'f': target state 0 "
-                                             rf"starts at depth {depth}, off the label 2$"):
+    # target, or announces an output, below the label, past its end or at
+    # a float depth is not written as another document
+    a, message = _off_label(depth, output)
+    with pytest.raises(InvariantError, match=message):
         to_json(a)
 
 
